@@ -8,7 +8,7 @@ style graph and answers questions with one-liners:
 * who is reachable in two hops (masked matrix product);
 * mutual-friend counts (PLUS_PAIR);
 * a BFS written with vxm + complemented masks;
-* distributed execution of the same product via DistMatrix/DistVector.
+* distributed execution of the same product via the distributed backend.
 
 Run: ``python examples/oo_api_tour.py``
 """
@@ -16,7 +16,7 @@ Run: ``python examples/oo_api_tour.py``
 import numpy as np
 
 import repro
-from repro import DistMatrix, DistVector, Matrix, Vector
+from repro import DistBackend, Matrix, Vector
 from repro.algebra import MIN_MONOID, MIN_PLUS, PLUS_PAIR
 from repro.algebra.functional import OFFDIAG
 from repro.runtime import CostLedger, LocaleGrid, Machine
@@ -73,9 +73,9 @@ def main() -> None:
     machine = Machine(grid=LocaleGrid.for_count(16), threads_per_locale=24, ledger=ledger)
     big = repro.erdos_renyi(20_000, 8, seed=1)
     x = repro.random_sparse_vector(20_000, density=0.01, seed=2)
-    A = DistMatrix.distribute(big, machine)
-    y = DistVector.distribute(x, machine).vxm(A)
-    print(f"\ndistributed vxm on 16 nodes: nnz(y)={y.nnz}")
+    dist = DistBackend(machine)
+    y = dist.vxm(dist.vector(x), dist.matrix(big))
+    print(f"\ndistributed vxm on 16 nodes: nnz(y)={dist.vector_nnz(y)}")
     print("simulated cost:", ledger.by_component())
 
 

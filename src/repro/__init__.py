@@ -58,7 +58,6 @@ from .generators import erdos_renyi, random_sparse_vector, rmat
 from .io import read_matrix_market, write_matrix_market
 from .runtime import EDISON, Breakdown, CostLedger, LocaleGrid, Machine, MachineConfig, shared_machine
 from .sparse import COOMatrix, CSCMatrix, CSRMatrix, DenseVector, SPA, SparseVector
-from .dist_api import DistMask, DistMatrix, DistVector
 from .exec import Backend, Descriptor, DistBackend, ShmBackend
 from .matrix_api import Matrix, MatrixMask
 from .vector_api import Mask, Vector
@@ -73,8 +72,8 @@ __all__ = [
     "PLUS_TIMES", "MIN_PLUS", "LOR_LAND",
     # data structures
     "COOMatrix", "CSRMatrix", "CSCMatrix", "SparseVector", "DenseVector", "SPA",
-    "Matrix", "Vector", "Mask", "MatrixMask", "DistMatrix", "DistVector",
-    "DistMask", "DistSparseMatrix", "DistSparseVector", "DistDenseVector",
+    "Matrix", "Vector", "Mask", "MatrixMask",
+    "DistSparseMatrix", "DistSparseVector", "DistDenseVector",
     # execution frontend
     "Backend", "Descriptor", "ShmBackend", "DistBackend",
     # runtime

@@ -12,10 +12,10 @@ implement an efficient breadth-first search algorithm, which is often the
 
 Every variant is written once against the backend-agnostic
 :class:`~repro.exec.backend.Backend` protocol and runs unchanged on the
-shared-memory and the distributed backend; the ``*_dist`` names are thin
-shims kept for compatibility.  Each level's kernels are recorded under a
-``bfs[iter=k]:`` ledger prefix, so whole-run traces decompose per
-iteration exactly like the paper's Figs 8-9.
+shared-memory and the distributed backend (pass
+``backend=DistBackend(machine)``).  Each level's kernels are recorded
+under a ``bfs[iter=k]:`` ledger prefix, so whole-run traces decompose
+per iteration exactly like the paper's Figs 8-9.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..algebra.semiring import MIN_FIRST, PLUS_PAIR
-from ..exec import Backend, DistBackend, ShmBackend
+from ..exec import Backend, ShmBackend
 from ..sparse.csr import CSRMatrix
 
 __all__ = [
@@ -31,8 +31,6 @@ __all__ = [
     "bfs_levels_dispatch",
     "bfs_levels_incremental",
     "bfs_parents",
-    "bfs_levels_dist",
-    "bfs_parents_dist",
     "bfs_levels_batch",
 ]
 
@@ -40,7 +38,6 @@ __all__ = [
 def _check_source(n: int, source: int) -> None:
     if not 0 <= source < n:
         raise IndexError(f"source {source} outside [0, {n})")
-
 
 def _bfs_expand(
     b: Backend, a, levels: np.ndarray, frontier, level: int, *, mode: str | None
@@ -230,33 +227,6 @@ def bfs_parents(
     return _bfs_parents_core(b, b.matrix(a), source)
 
 
-def bfs_levels_dist(a, source: int, machine, *, dispatcher=None) -> np.ndarray:
-    """Distributed level-synchronous BFS over 2-D distributed ``a``.
-
-    A shim over :func:`bfs_levels`'s backend-agnostic core: per iteration,
-    one distributed SpMSpV (whose gather/multiply/scatter breakdown lands
-    in ``machine.ledger`` under a ``bfs[iter=k]:`` prefix) with the
-    replicated visited array fused as an in-kernel distributed mask.  Pass
-    a :class:`~repro.ops.dispatch.Dispatcher` to reuse its warm caches.
-    Returns the dense level array.
-    """
-    b = DistBackend(machine, dispatcher=dispatcher)
-    return _bfs_levels_core(b, b.matrix(a), source)
-
-
-def bfs_parents_dist(a, source: int, machine) -> np.ndarray:
-    """Distributed BFS spanning-tree parents.
-
-    A shim over :func:`bfs_parents`'s backend-agnostic core: the
-    frontier's values carry *global* vertex ids, so the (min, first)
-    semiring propagates the smallest parent id through the distributed
-    SpMSpV exactly as in shared memory.  Returns the dense parent array
-    (-1 = unreachable).
-    """
-    b = DistBackend(machine)
-    return _bfs_parents_core(b, b.matrix(a), source)
-
-
 def bfs_levels_batch(
     a: CSRMatrix,
     sources: np.ndarray,
@@ -267,18 +237,25 @@ def bfs_levels_batch(
     """Multi-source BFS: levels from every source at once.
 
     The frontier becomes a Boolean *matrix* (one row per source) and each
-    expansion is one SpGEMM on the (plus, pair) pattern semiring — the
-    batched shape distributed implementations and betweenness centrality
-    prefer.  Returns a ``len(sources) × n`` level array.
+    expansion is one SpGEMM on the (plus, pair) pattern semiring — one
+    kernel invocation and one communication round per level shared by
+    every source, the batched shape distributed implementations,
+    betweenness centrality and the query service prefer.  Returns a
+    ``len(sources) × n`` int64 level array (-1 unreachable).  The search
+    is level-synchronous — a vertex's level is the first expansion round
+    that reaches it, however many sources share the round — so row ``i``
+    is bit-identical to ``bfs_levels(a, sources[i])``.
     """
     b = backend or ShmBackend(machine)
-    sources = np.asarray(sources, dtype=np.int64)
-    n = a.nrows if isinstance(a, CSRMatrix) else b.shape(b.matrix(a))[0]
-    if sources.size and (sources.min() < 0 or sources.max() >= n):
-        raise IndexError("source out of bounds")
     am = b.matrix(a)
+    n = b.shape(am)[0]
+    sources = np.asarray(sources, dtype=np.int64)
+    if sources.size and (sources.min() < 0 or sources.max() >= n):
+        raise IndexError(f"source outside [0, {n})")
     ns = sources.size
     levels = np.full((ns, n), -1, dtype=np.int64)
+    if ns == 0:
+        return levels
     levels[np.arange(ns), sources] = 0
     frontier = b.matrix(
         CSRMatrix.from_triples(ns, n, np.arange(ns), sources, np.ones(ns))
@@ -289,10 +266,8 @@ def bfs_levels_batch(
         with b.iteration("bfs_batch", level):
             reached = b.mxm(frontier, am, semiring=PLUS_PAIR)
         g = b.to_csr(reached)
-        # keep only (source, vertex) pairs not yet levelled
-        rows = g.row_indices()
-        cols = g.colidx
-        fresh = levels[rows, cols] < 0
+        rows, cols = g.row_indices(), g.colidx
+        fresh = levels[rows, cols] < 0  # (source, vertex) pairs not yet levelled
         rows, cols = rows[fresh], cols[fresh]
         levels[rows, cols] = level
         frontier = b.matrix(

@@ -8,9 +8,8 @@ one-line inner loop (the full LACC algorithm of the paper's authors is the
 production version; label propagation preserves its operation mix).
 
 Written once against the :class:`~repro.exec.backend.Backend` protocol:
-the distributed flavour is the same core on
-:class:`~repro.exec.dist.DistBackend`, with per-round costs recorded
-under ``cc[iter=k]:`` ledger prefixes.
+pass ``backend=DistBackend(machine)`` for the distributed flavour, with
+per-round costs recorded under ``cc[iter=k]:`` ledger prefixes.
 """
 
 from __future__ import annotations
@@ -18,12 +17,11 @@ from __future__ import annotations
 import numpy as np
 
 from ..algebra.semiring import MIN_SECOND
-from ..exec import Backend, DistBackend, ShmBackend
+from ..exec import Backend, ShmBackend
 from ..sparse.csr import CSRMatrix
 
 __all__ = [
     "connected_components",
-    "connected_components_dist",
     "connected_components_incremental",
     "num_components",
 ]
@@ -136,22 +134,3 @@ def connected_components_incremental(
         return _cc_core(b, am, max_rounds)
     iu, iv, _ = batch.upsert_triples()
     return _merge_labels(prev, prev[iu], prev[iv])
-
-
-def connected_components_dist(a, machine, max_rounds: int | None = None) -> np.ndarray:
-    """Distributed label propagation over a 2-D distributed matrix.
-
-    A shim over :func:`connected_components`'s backend-agnostic core: each
-    round is one distributed SpMV on (min, second) whose simulated cost
-    lands in the machine's ledger.  Identical labels to
-    :func:`connected_components` (asserted by the test-suite).
-
-    Parameters
-    ----------
-    a:
-        A symmetric :class:`~repro.distributed.dist_matrix.DistSparseMatrix`.
-    machine:
-        The simulated machine (grid must match ``a``).
-    """
-    b = DistBackend(machine)
-    return _cc_core(b, b.matrix(a), max_rounds)

@@ -20,10 +20,10 @@ from __future__ import annotations
 import numpy as np
 
 from ..algebra.semiring import PLUS_TIMES
-from ..exec import Backend, DistBackend, ShmBackend
+from ..exec import Backend, ShmBackend
 from ..sparse.csr import CSRMatrix
 
-__all__ = ["pagerank", "pagerank_dist", "pagerank_incremental"]
+__all__ = ["pagerank", "pagerank_incremental"]
 
 
 def _pagerank_core(
@@ -115,32 +115,4 @@ def pagerank_incremental(
         tol=tol,
         max_iter=max_iter,
         rank0=prev_rank,
-    )
-
-
-def pagerank_dist(
-    a,
-    machine,
-    *,
-    damping: float = 0.85,
-    tol: float = 1.0e-10,
-    max_iter: int = 200,
-) -> np.ndarray:
-    """Distributed PageRank over a 2-D distributed matrix.
-
-    A shim over :func:`pagerank`'s backend-agnostic core: each power
-    iteration is one distributed SpMV whose simulated cost lands in the
-    machine's ledger; the returned scores match :func:`pagerank` to
-    ~1e-9 (asserted by the test-suite).
-
-    Parameters
-    ----------
-    a:
-        A :class:`~repro.distributed.dist_matrix.DistSparseMatrix`.
-    machine:
-        The simulated machine (grid must match ``a``).
-    """
-    b = DistBackend(machine)
-    return _pagerank_core(
-        b, b.matrix(a), damping=damping, tol=tol, max_iter=max_iter
     )

@@ -21,6 +21,9 @@ by code — not noise.  This module is the enforcement:
 Improvements never fail the gate — they are reported so the baseline can
 be refreshed (re-run ``make bench`` and commit the new JSON).
 
+Nothing is skipped: a registered re-runner without a committed baseline
+fails, and so does a baseline without a re-runner.
+
 ``--check`` runs the *structural* half only: every baseline must load,
 validate, expose gateable metrics, and have a registered re-runner — a
 sub-second smoke test (wired into the test suite) that catches schema
@@ -216,6 +219,30 @@ def compare_payloads(
     return result
 
 
+def _discover(
+    results_dir: str | Path | None, benches: list[str] | None
+) -> tuple[dict[str, Path], list[GateResult]]:
+    """The baselines to gate, plus a failed result per expected bench that
+    has no baseline file.
+
+    Expected are the selected ``benches``, or else every key of
+    :data:`repro.bench.ablations.RERUNNERS` — so a harness whose baseline
+    was never committed fails the gate instead of going ungated.
+    """
+    from .ablations import RERUNNERS
+
+    found = available_benches(results_dir)
+    expected = RERUNNERS if benches is None else benches
+    missing = []
+    for name in sorted(set(expected) - set(found)):
+        r = GateResult(bench=name)
+        r.problems.append(f"no baseline file BENCH_{name}.json")
+        missing.append(r)
+    if benches is not None:
+        found = {name: found[name] for name in benches if name in found}
+    return found, missing
+
+
 def check_baselines(
     results_dir: str | Path | None = None,
     *,
@@ -226,22 +253,15 @@ def check_baselines(
     Every discovered (or selected) baseline must load, validate against
     the envelope schema, expose at least one gateable simulated metric
     (plus wall metrics when it requests wall gating), and have a
-    re-runner registered in :data:`repro.bench.ablations.RERUNNERS`.
-    Sub-second; run from the test suite as ``python -m repro gate
-    --check`` so an unwired or schema-drifted baseline fails CI without
+    re-runner registered in :data:`repro.bench.ablations.RERUNNERS`;
+    every registered re-runner must have a baseline file.  Sub-second;
+    run from the test suite as ``python -m repro gate --check`` so an
+    unwired, uncommitted or schema-drifted baseline fails CI without
     paying for a full re-measurement.
     """
     from .ablations import RERUNNERS
 
-    found = available_benches(results_dir)
-    if benches is not None:
-        missing = sorted(set(benches) - set(found))
-        if missing:
-            r = GateResult(bench=",".join(missing))
-            r.problems.append(f"no baseline file for bench(es): {', '.join(missing)}")
-            return [r]
-        found = {name: found[name] for name in benches}
-    results = []
+    found, results = _discover(results_dir, benches)
     for name, path in sorted(found.items()):
         r = GateResult(bench=name)
         try:
@@ -268,29 +288,23 @@ def run_gate(
     wall_tolerance: float = WALL_TOLERANCE,
 ) -> list[GateResult]:
     """Gate every (or the selected) discovered baseline; returns per-bench
-    results.  Baselines with no registered re-runner are skipped with a
-    problem-free note so new BENCH files don't break the gate before their
-    harness is extracted."""
+    results.  Nothing is skipped: a baseline with no registered re-runner,
+    and a registered re-runner (or a selected bench) with no baseline
+    file, each fail with a problem."""
     from .ablations import RERUNNERS
 
-    found = available_benches(results_dir)
-    if benches is not None:
-        missing = sorted(set(benches) - set(found))
-        if missing:
-            r = GateResult(bench=",".join(missing))
-            r.problems.append(f"no baseline file for bench(es): {', '.join(missing)}")
-            return [r]
-        found = {name: found[name] for name in benches}
-    results = []
+    found, results = _discover(results_dir, benches)
     for name, path in sorted(found.items()):
         rerun = RERUNNERS.get(name)
         if rerun is None:
-            continue  # no harness extracted for this baseline yet
-        baseline = load_bench(path)
+            r = GateResult(bench=name)
+            r.problems.append("no re-runner registered in RERUNNERS")
+            results.append(r)
+            continue
         results.append(
             compare_payloads(
                 name,
-                baseline,
+                load_bench(path),
                 rerun(),
                 tolerance=tolerance,
                 wall_tolerance=wall_tolerance,
@@ -339,6 +353,9 @@ def main(argv: list[str] | None = None) -> int:
         help="structural smoke check only (schema + wiring), no re-running",
     )
     args = parser.parse_args(argv)
+    if not available_benches(args.results_dir):
+        print("no gateable baselines found")
+        return 1
     if args.check:
         results = check_baselines(args.results_dir, benches=args.benches)
         label = "bench-check"
@@ -350,9 +367,6 @@ def main(argv: list[str] | None = None) -> int:
             wall_tolerance=args.wall_tolerance,
         )
         label = "bench-gate"
-    if not results:
-        print("no gateable baselines found")
-        return 1
     for r in results:
         print(r.render())
     failed = [r for r in results if not r.passed]

@@ -3,8 +3,10 @@
 A backend owns a :class:`~repro.runtime.locale.Machine` and exposes the
 GraphBLAS op set over *opaque handles*: shared-memory handles are the
 :class:`~repro.matrix_api.Matrix` / :class:`~repro.vector_api.Vector`
-façades, distributed handles are :class:`~repro.dist_api.DistMatrix` /
-:class:`~repro.dist_api.DistVector`.  An algorithm written against this
+façades, distributed handles are the block-distributed storage itself
+(:class:`~repro.distributed.dist_matrix.DistSparseMatrix` /
+:class:`~repro.distributed.dist_vector.DistSparseVector`).  An algorithm
+written against this
 protocol runs unmodified on either — the CombBLAS 2.0 "write once"
 contract — and every op it issues lands in the machine's cost ledger,
 so whole-algorithm runs decompose exactly like single kernels.

@@ -1,11 +1,12 @@
-"""Distributed backend: the frontend over :mod:`repro.dist_api`.
+"""Distributed backend: the frontend over the block-distributed storage.
 
-Handles are :class:`~repro.dist_api.DistMatrix` /
-:class:`~repro.dist_api.DistVector`, so every op an algorithm issues
-runs on the simulated cluster: sparse products route through the
-PR 1 dispatch engine (cost-model kernel/transport selection recorded as
-``dispatch[...]`` spans), transfers run under the PR 2 fault injector
-attached to the machine, and aggregated transports use the PR 3
+Handles are the storage objects themselves —
+:class:`~repro.distributed.dist_matrix.DistSparseMatrix` /
+:class:`~repro.distributed.dist_vector.DistSparseVector` — so every op
+an algorithm issues runs on the simulated cluster: sparse products route
+through the dispatch engine (cost-model kernel/transport selection
+recorded as ``dispatch[...]`` spans), transfers run under the fault
+injector attached to the machine, and aggregated transports use the
 exchange layer — the algorithm sees none of it.
 
 Grid generality: sparse SUMMA and the blockwise transpose exchange need
@@ -16,16 +17,28 @@ charge the full round trip they perform.
 
 from __future__ import annotations
 
+import weakref
+
 import numpy as np
 
-from ..algebra.functional import BinaryOp, UnaryOp
+from ..algebra.functional import TRIL, BinaryOp, UnaryOp
 from ..algebra.monoid import Monoid, PLUS_MONOID
 from ..algebra.semiring import PLUS_TIMES, Semiring
-from ..dist_api import DistMatrix, DistVector
 from ..distributed.dist_matrix import DistSparseMatrix
 from ..distributed.dist_vector import DistDenseVector, DistSparseVector
+from ..ops.apply import apply2
+from ..ops.assign import assign2
 from ..ops.dispatch import Dispatcher
 from ..ops.ewise import ewiseadd_vv, ewisemult_vv
+from ..ops.extract import extract_matrix
+from ..ops.matrix_dist import (
+    reduce_rows_dense_dist,
+    row_degrees_dist,
+    scale_rows_dist,
+    select_dist_matrix,
+    transpose_any,
+)
+from ..ops.reduce import reduce_dist_vector
 from ..ops.spmv import spmv_dist
 from ..runtime.clock import Breakdown
 from ..runtime.epoch import bump_epoch, epoch_of
@@ -37,6 +50,13 @@ from .backend import BackendBase
 from .descriptor import Descriptor
 
 __all__ = ["DistBackend"]
+
+
+def _forget(backend_ref, key: int) -> None:
+    """Finalizer: drop a dead source's transpose from a live backend."""
+    backend = backend_ref()
+    if backend is not None:
+        backend._transposes.pop(key, None)
 
 
 class DistBackend(BackendBase):
@@ -60,115 +80,140 @@ class DistBackend(BackendBase):
         self.scatter_mode = scatter_mode
         self.sort = sort
         self.comm_mode = comm_mode
-        self._transposes: dict[int, tuple[DistMatrix, DistMatrix, int]] = {}
+        self._transposes: dict[int, tuple[int, DistSparseMatrix]] = {}
+
+    def _check_grid(self, handle, kind: str) -> None:
+        if handle.grid.size != self.machine.num_locales:
+            raise ValueError(
+                f"{kind}'s grid does not match the machine's locale count"
+            )
 
     # -- constructors / bridges -------------------------------------------------
 
-    def matrix(self, a) -> DistMatrix:
+    def matrix(self, a) -> DistSparseMatrix:
         """Distribute a global :class:`CSRMatrix` (or adopt an existing
-        distributed handle)."""
-        if isinstance(a, DistMatrix):
-            return a
+        distributed matrix laid out on this machine's grid)."""
         if isinstance(a, DistSparseMatrix):
-            return DistMatrix(a, self.machine)
-        return DistMatrix.distribute(a, self.machine)
+            self._check_grid(a, "matrix")
+            return a
+        return DistSparseMatrix.from_global(a, self.machine.grid)
 
-    def vector(self, x) -> DistVector:
+    def vector(self, x) -> DistSparseVector:
         """Distribute a global :class:`SparseVector` (or adopt an existing
-        distributed handle)."""
-        if isinstance(x, DistVector):
-            return x
+        distributed vector laid out on this machine's grid)."""
         if isinstance(x, DistSparseVector):
-            return DistVector(x, self.machine)
-        return DistVector.distribute(x, self.machine)
+            self._check_grid(x, "vector")
+            return x
+        return DistSparseVector.from_global(x, self.machine.grid)
 
-    def to_csr(self, a: DistMatrix) -> CSRMatrix:
-        """Gather the global CSR (fault-aware)."""
-        return a.gather()
+    def to_csr(self, a: DistSparseMatrix) -> CSRMatrix:
+        """Gather the global CSR (fault-aware: data owned by a failed
+        locale raises :class:`~repro.runtime.faults.LocaleFailure`)."""
+        return a.gather(faults=self.machine.faults)
 
-    def to_sparse(self, v: DistVector) -> SparseVector:
+    def to_sparse(self, v: DistSparseVector) -> SparseVector:
         """Gather the global sparse vector (fault-aware)."""
-        return v.gather()
+        return v.gather(faults=self.machine.faults)
 
     # -- structure --------------------------------------------------------------
 
-    def shape(self, a: DistMatrix) -> tuple[int, int]:
+    def shape(self, a: DistSparseMatrix) -> tuple[int, int]:
         """The shape of ``a``."""
         return a.shape
 
-    def matrix_nnz(self, a: DistMatrix) -> int:
+    def matrix_nnz(self, a: DistSparseMatrix) -> int:
         """Stored entries of ``a``."""
         return a.nnz
 
-    def vector_nnz(self, v: DistVector) -> int:
+    def vector_nnz(self, v: DistSparseVector) -> int:
         """Stored entries of ``v``."""
         return v.nnz
 
-    def row_degrees(self, a: DistMatrix) -> np.ndarray:
+    def row_degrees(self, a: DistSparseMatrix) -> np.ndarray:
         """Stored entries per row (blockwise partial counts)."""
-        return a.row_degrees()
+        return row_degrees_dist(a, self.machine)
 
-    def transpose(self, a: DistMatrix) -> DistMatrix:
-        """``Aᵀ``, cached per handle for reuse across iterations."""
-        # keyed by id with the handle kept alive in the value, so a
-        # recycled id can never alias a dead handle's transpose; the
-        # storage epoch guards against in-place mutation (apply_updates)
-        hit = self._transposes.get(id(a))
-        if hit is not None and hit[0] is a and hit[2] == epoch_of(a.data):
+    def transpose(self, a: DistSparseMatrix) -> DistSparseMatrix:
+        """``Aᵀ`` (blockwise exchange on square grids, gather/redistribute
+        elsewhere), cached per handle for reuse across iterations."""
+        # keyed by id; a finalizer evicts the entry when ``a`` dies, so the
+        # cache neither keeps sources alive nor lets a recycled id alias a
+        # dead handle's transpose.  The storage epoch guards against
+        # in-place mutation (apply_updates).
+        key = id(a)
+        hit = self._transposes.get(key)
+        if hit is not None and hit[0] == epoch_of(a):
             return hit[1]
-        cached = a.T
-        self._transposes[id(a)] = (a, cached, epoch_of(a.data))
-        return cached
+        if hit is None:
+            weakref.finalize(a, _forget, weakref.ref(self), key)
+        t, _ = transpose_any(a, self.machine)
+        self._transposes[key] = (epoch_of(a), t)
+        return t
 
-    def tril(self, a: DistMatrix, k: int = 0) -> DistMatrix:
+    def tril(self, a: DistSparseMatrix, k: int = 0) -> DistSparseMatrix:
         """Lower-triangular part (blockwise select, global coordinates)."""
-        return a.tril(k)
+        c, _ = select_dist_matrix(a, TRIL, self.machine, k)
+        return c
 
-    def extract(self, a: DistMatrix, rows, cols) -> DistMatrix:
-        """``C = A(I, J)`` (gather / extract / redistribute)."""
-        return a.extract(rows, cols)
+    def extract(self, a: DistSparseMatrix, rows, cols) -> DistSparseMatrix:
+        """``C = A(I, J)`` — gather, extract, redistribute (general index
+        extraction has no aligned blockwise form)."""
+        sub = extract_matrix(
+            a.gather(faults=self.machine.faults),
+            np.asarray(list(rows), np.int64),
+            np.asarray(list(cols), np.int64),
+        )
+        return DistSparseMatrix.from_global(sub, a.grid)
 
-    def select_matrix(self, a: DistMatrix, op, thunk=None) -> DistMatrix:
+    def select_matrix(self, a: DistSparseMatrix, op, thunk=None) -> DistSparseMatrix:
         """``GrB_select`` blockwise with rebased global indices."""
-        return a.select(op, thunk)
+        c, _ = select_dist_matrix(a, op, self.machine, thunk)
+        return c
 
     # -- elementwise / apply / assign -------------------------------------------
 
-    def apply_vector(self, v: DistVector, op: UnaryOp) -> DistVector:
-        """Unary op over stored values (SPMD apply)."""
-        return v.apply(op)
+    def apply_vector(self, v: DistSparseVector, op: UnaryOp) -> DistSparseVector:
+        """Unary op over stored values (SPMD apply on a copy)."""
+        out = v.copy()
+        apply2(out, op, self.machine)
+        return out
 
-    def apply_matrix(self, a: DistMatrix, op: UnaryOp) -> DistMatrix:
-        """Unary op over stored values (SPMD apply)."""
-        return a.apply(op)
+    def apply_matrix(self, a: DistSparseMatrix, op: UnaryOp) -> DistSparseMatrix:
+        """Unary op over stored values (SPMD apply on a copy)."""
+        blocks = [blk.copy() for blk in a.blocks]
+        out = DistSparseMatrix(a.nrows, a.ncols, a.grid, blocks)
+        apply2(out, op, self.machine)
+        return out
 
-    def assign(self, dst: DistVector, src: DistVector) -> DistVector:
-        """Matching-distribution assign; returns ``dst``."""
-        return dst.assign_from(src)
+    def assign(self, dst: DistSparseVector, src: DistSparseVector) -> DistSparseVector:
+        """Matching-distribution SPMD assign; returns ``dst``."""
+        assign2(dst, src, self.machine)
+        return dst
 
-    def ewise_mult(self, u: DistVector, v: DistVector, op: BinaryOp) -> DistVector:
+    def ewise_mult(
+        self, u: DistSparseVector, v: DistSparseVector, op: BinaryOp
+    ) -> DistSparseVector:
         """Intersection merge (blockwise on the aligned distributions)."""
         return self._ewise(u, v, lambda a, b: ewisemult_vv(a, b, op))
 
-    def ewise_add(self, u: DistVector, v: DistVector, op=PLUS_MONOID) -> DistVector:
+    def ewise_add(
+        self, u: DistSparseVector, v: DistSparseVector, op=PLUS_MONOID
+    ) -> DistSparseVector:
         """Union merge (blockwise on the aligned distributions)."""
         return self._ewise(u, v, lambda a, b: ewiseadd_vv(a, b, op))
 
-    def _ewise(self, u: DistVector, v: DistVector, merge) -> DistVector:
-        ud, vd = u.data, v.data
-        if ud.capacity != vd.capacity or (ud.grid.rows, ud.grid.cols) != (
-            vd.grid.rows,
-            vd.grid.cols,
+    def _ewise(self, u: DistSparseVector, v: DistSparseVector, merge) -> DistSparseVector:
+        if u.capacity != v.capacity or (u.grid.rows, u.grid.cols) != (
+            v.grid.rows,
+            v.grid.cols,
         ):
             raise ValueError("elementwise operands must share the distribution")
-        blocks = [merge(a, b) for a, b in zip(ud.blocks, vd.blocks)]
-        return DistVector(
-            DistSparseVector(ud.capacity, ud.grid, blocks), self.machine
-        )
+        blocks = [merge(a, b) for a, b in zip(u.blocks, v.blocks)]
+        return DistSparseVector(u.capacity, u.grid, blocks)
 
     # -- streaming updates ------------------------------------------------------
 
-    def apply_updates(self, a: DistMatrix, batch, *, accum=None) -> DistMatrix:
+    def apply_updates(self, a: DistSparseMatrix, batch, *, accum=None) -> DistSparseMatrix:
         """Mutate ``a`` in place by one delta batch, SPMD-style.
 
         The batch's deltas are cut into the same 2-D block partition as
@@ -184,19 +229,18 @@ class DistBackend(BackendBase):
         from ..ops.assign import assign_agg
         from ..streaming.delta import UpdateBatch, apply_batch_csr, apply_cost
 
-        dist = a.data
-        if batch.shape != dist.shape:
+        if batch.shape != a.shape:
             raise ValueError(
-                f"batch shape {batch.shape} != matrix shape {dist.shape}"
+                f"batch shape {batch.shape} != matrix shape {a.shape}"
             )
-        grid = dist.grid
+        grid = a.grid
         ups = batch.upserts_csr()
         dels = batch.deletes_csr()
         ups_d = None if ups is None else DistSparseMatrix.from_global(ups, grid)
         dels_d = None if dels is None else DistSparseMatrix.from_global(dels, grid)
         merged: list[CSRMatrix] = []
         slowest = 0.0
-        for k, blk in enumerate(dist.blocks):
+        for k, blk in enumerate(a.blocks):
             blk_csr = ensure_csr(blk)
             local = UpdateBatch(
                 blk_csr.nrows,
@@ -209,75 +253,77 @@ class DistBackend(BackendBase):
             )
             merged.append(apply_batch_csr(blk_csr, local, accum=accum))
         self.machine.record("apply_updates", Breakdown({"apply": slowest}))
-        src = DistSparseMatrix(dist.nrows, dist.ncols, grid, merged)
-        assign_agg(dist, src, self.machine)
-        for blk in dist.blocks:
+        src = DistSparseMatrix(a.nrows, a.ncols, grid, merged)
+        assign_agg(a, src, self.machine)
+        for blk in a.blocks:
             bump_epoch(blk)
-        bump_epoch(dist)
+        bump_epoch(a)
         return a
 
     # -- products ---------------------------------------------------------------
 
     def vxm(
         self,
-        v: DistVector,
-        a: DistMatrix,
+        v: DistSparseVector,
+        a: DistSparseMatrix,
         *,
         semiring: Semiring = PLUS_TIMES,
         mask: np.ndarray | None = None,
         accum=None,
-        out: DistVector | None = None,
+        out: DistSparseVector | None = None,
         desc: Descriptor | None = None,
         mode: str | None = None,
-    ) -> DistVector:
+    ) -> DistSparseVector:
         """``out⟨mask, replace⟩ ⊕= v ⊗ A`` via the distributed dispatcher.
 
         ``mask`` (dense Boolean over the output space) is fused into the
-        masked distributed SpMSpV; the communication/sort axes come from
+        masked distributed SpMSpV — each locale drops masked-out products
+        during local accumulation; the communication/sort axes come from
         the backend's configured modes (``mode`` is the shared-memory
         kernel knob and is ignored here).
         """
         d = desc or Descriptor()
         mat = self.transpose(a) if d.transpose_a else a
-        return v.vxm(
+        y, _ = self.dispatcher.vxm_dist(
             mat,
+            v,
             semiring=semiring,
-            mask=mask,
+            mask=None if mask is None else np.asarray(mask, dtype=bool),
             accum=accum,
             out=out,
             desc=d,
             gather_mode=self.gather_mode,
             scatter_mode=self.scatter_mode,
             sort=self.sort,
-            dispatcher=self.dispatcher,
         )
+        return y
 
     def vxm_dense(
-        self, x: np.ndarray, a: DistMatrix, *, semiring: Semiring = PLUS_TIMES
+        self, x: np.ndarray, a: DistSparseMatrix, *, semiring: Semiring = PLUS_TIMES
     ) -> np.ndarray:
         """``y = x ⊗ A`` over replicated dense state (distributed SpMV on
         the cached transpose)."""
         return self.mxv_dense(self.transpose(a), x, semiring=semiring)
 
     def mxv_dense(
-        self, a: DistMatrix, x: np.ndarray, *, semiring: Semiring = PLUS_TIMES
+        self, a: DistSparseMatrix, x: np.ndarray, *, semiring: Semiring = PLUS_TIMES
     ) -> np.ndarray:
         """``y = A ⊗ x`` over replicated dense state."""
         xd = DistDenseVector.from_global(np.asarray(x), self.machine.grid)
-        y, _ = spmv_dist(a.data, xd, self.machine, semiring=semiring)
+        y, _ = spmv_dist(a, xd, self.machine, semiring=semiring)
         return y.gather(faults=self.machine.faults).values
 
     def mxm(
         self,
-        a: DistMatrix,
-        b: DistMatrix,
+        a: DistSparseMatrix,
+        b: DistSparseMatrix,
         *,
         semiring: Semiring = PLUS_TIMES,
-        mask: DistMatrix | None = None,
+        mask: DistSparseMatrix | None = None,
         accum=None,
-        out: DistMatrix | None = None,
+        out: DistSparseMatrix | None = None,
         desc: Descriptor | None = None,
-    ) -> DistMatrix:
+    ) -> DistSparseMatrix:
         """``out⟨mask, replace⟩ ⊕= A ⊗ B``.
 
         Every grid shape routes through the dispatcher's schedule axis:
@@ -289,39 +335,47 @@ class DistBackend(BackendBase):
         d = desc or Descriptor()
         ma = self.transpose(a) if d.transpose_a else a
         mb = self.transpose(b) if d.transpose_b else b
-        return ma.mxm(
+        c, _ = self.dispatcher.mxm_dist(
+            ma,
             mb,
             semiring=semiring,
+            comm_mode=self.comm_mode,
             mask=mask,
-            complement=d.complement,
             accum=accum,
             out=out,
-            desc=Descriptor(replace=d.replace),
-            comm_mode=self.comm_mode,
-            dispatcher=self.dispatcher,
+            desc=d,
         )
+        return c
 
     # -- reductions -------------------------------------------------------------
 
-    def reduce_vector(self, v: DistVector, monoid: Monoid = PLUS_MONOID):
+    def reduce_vector(self, v: DistSparseVector, monoid: Monoid = PLUS_MONOID):
         """Fold stored values to a scalar (cross-locale reduction)."""
-        return v.reduce(monoid)
+        return reduce_dist_vector(v, monoid)
 
-    def reduce_matrix(self, a: DistMatrix, monoid: Monoid = PLUS_MONOID):
-        """Fold stored values to a scalar (blockwise partials)."""
-        return a.reduce(monoid)
+    def reduce_matrix(self, a: DistSparseMatrix, monoid: Monoid = PLUS_MONOID):
+        """Fold stored values to a scalar (blockwise partials combined
+        with the monoid)."""
+        parts = [monoid.reduce(blk.values) for blk in a.blocks if blk.nnz]
+        if not parts:
+            return monoid.identity
+        acc = parts[0]
+        for p in parts[1:]:
+            acc = monoid.op(acc, p)
+        return acc
 
     def reduce_rows_dense(
-        self, a: DistMatrix, monoid: Monoid = PLUS_MONOID
+        self, a: DistSparseMatrix, monoid: Monoid = PLUS_MONOID
     ) -> np.ndarray:
         """Per-row reduction as a dense array (identity for empty rows)."""
-        return a.reduce_rows_dense(monoid)
+        return reduce_rows_dense_dist(a, self.machine, monoid)
 
     # -- misc -------------------------------------------------------------------
 
-    def scale_rows(self, a: DistMatrix, factors: np.ndarray) -> DistMatrix:
+    def scale_rows(self, a: DistSparseMatrix, factors: np.ndarray) -> DistSparseMatrix:
         """A new matrix with row ``i`` scaled by ``factors[i]``."""
-        return a.scale_rows(factors)
+        c, _ = scale_rows_dist(a, factors, self.machine)
+        return c
 
     def __repr__(self) -> str:  # pragma: no cover - trivial
         return (

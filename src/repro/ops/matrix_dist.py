@@ -3,8 +3,9 @@
 The structural matrix ops (select/tril, row scaling, row reductions,
 degree counts) are embarrassingly parallel over the 2-D blocks — each
 locale works on its own block with indices rebased to the global frame,
-then row-team partials combine.  They exist so :class:`~repro.dist_api
-.DistMatrix` can serve the full frontend op surface without gathering.
+then row-team partials combine.  They exist so
+:class:`~repro.exec.dist.DistBackend` can serve the full frontend op
+surface without gathering.
 
 Two gather-based fallbacks round out the set: ``transpose_any`` and
 ``mxm_gathered`` cover the non-square locale grids where the square-grid

@@ -17,10 +17,10 @@ anything that caches derived state includes :func:`epoch_of` in its key
 (or stores it next to the identity anchor) — a mutated operand is then a
 guaranteed cache miss, never a stale hit.
 
-The epoch lives on the *storage* object, not the handle: the OO façades
-(:class:`~repro.matrix_api.Matrix`, :class:`~repro.dist_api.DistMatrix`)
-use ``__slots__`` and share storage freely, so the storage is the one
-place a mutation is observable from every alias.
+The epoch lives on the *storage* object, not the handle: the OO façade
+(:class:`~repro.matrix_api.Matrix`) uses ``__slots__`` and shares storage
+freely, and the distributed backend's handles *are* the storage, so the
+storage is the one place a mutation is observable from every alias.
 """
 
 from __future__ import annotations

@@ -17,13 +17,7 @@ from .quota import (
     ServiceRejection,
     TokenBucket,
 )
-from .queries import (
-    ALGOS,
-    QuerySpec,
-    multi_source_bfs,
-    multi_source_sssp,
-    run_batch,
-)
+from .queries import ALGOS, QuerySpec, run_batch
 from .sched import Scheduler, VirtualClock
 from .service import GraphQueryService, Request
 
@@ -40,7 +34,5 @@ __all__ = [
     "ServiceRejection",
     "TokenBucket",
     "VirtualClock",
-    "multi_source_bfs",
-    "multi_source_sssp",
     "run_batch",
 ]

@@ -4,8 +4,9 @@ import networkx as nx
 import numpy as np
 import pytest
 
-from repro.algorithms import bfs_levels, bfs_levels_dist, bfs_parents
+from repro.algorithms import bfs_levels, bfs_parents
 from repro.distributed import DistSparseMatrix
+from repro.exec import DistBackend
 from repro.generators import erdos_renyi, rmat
 from repro.ops import ewiseadd_mm
 from repro.algebra.functional import MAX
@@ -101,7 +102,9 @@ class TestBfsDistributed:
         ref = bfs_levels(a, 0)
         grid = LocaleGrid.for_count(p)
         ad = DistSparseMatrix.from_global(a, grid)
-        got = bfs_levels_dist(ad, 0, Machine(grid=grid, threads_per_locale=2))
+        got = bfs_levels(
+            ad, 0, backend=DistBackend(Machine(grid=grid, threads_per_locale=2))
+        )
         assert np.array_equal(got, ref)
 
     def test_ledger_collects_per_iteration_breakdowns(self):
@@ -110,7 +113,7 @@ class TestBfsDistributed:
         led = CostLedger()
         m = Machine(grid=grid, threads_per_locale=4, ledger=led)
         ad = DistSparseMatrix.from_global(a, grid)
-        bfs_levels_dist(ad, 0, m)
+        bfs_levels(ad, 0, backend=DistBackend(m))
         assert len(led) >= 1
         agg = led.by_component()
         assert "Gather Input" in agg and "Local Multiply" in agg
@@ -119,15 +122,13 @@ class TestBfsDistributed:
 class TestBfsParentsDistributed:
     @pytest.mark.parametrize("p", [1, 4, 9])
     def test_valid_tree_matches_levels(self, p):
-        from repro.algorithms import bfs_parents_dist
-
         a = symmetrized(erdos_renyi(120, 4, seed=30))
         levels = bfs_levels(a, 0)
         grid = LocaleGrid.for_count(p)
-        parents = bfs_parents_dist(
+        parents = bfs_parents(
             DistSparseMatrix.from_global(a, grid),
             0,
-            Machine(grid=grid, threads_per_locale=2),
+            backend=DistBackend(Machine(grid=grid, threads_per_locale=2)),
         )
         dense = a.to_dense()
         assert parents[0] == 0

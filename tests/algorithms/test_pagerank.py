@@ -76,42 +76,42 @@ class TestPageRank:
 
 class TestPageRankDistributed:
     def test_matches_local(self):
-        from repro.algorithms import pagerank_dist
         from repro.distributed import DistSparseMatrix
+        from repro.exec import DistBackend
         from repro.runtime import CostLedger, LocaleGrid, Machine
 
         a = erdos_renyi(80, 4, seed=6)
         ref = pagerank(a)
         for p in [1, 4, 9]:
             grid = LocaleGrid.for_count(p)
-            got = pagerank_dist(
+            got = pagerank(
                 DistSparseMatrix.from_global(a, grid),
-                Machine(grid=grid, threads_per_locale=4),
+                backend=DistBackend(Machine(grid=grid, threads_per_locale=4)),
             )
             assert np.allclose(ref, got, atol=1e-9), f"p={p}"
 
     def test_ledger_records_iterations(self):
-        from repro.algorithms import pagerank_dist
         from repro.distributed import DistSparseMatrix
+        from repro.exec import DistBackend
         from repro.runtime import CostLedger, LocaleGrid, Machine
 
         a = erdos_renyi(60, 4, seed=7)
         led = CostLedger()
         grid = LocaleGrid.for_count(4)
-        pagerank_dist(
+        pagerank(
             DistSparseMatrix.from_global(a, grid),
-            Machine(grid=grid, threads_per_locale=4, ledger=led),
+            backend=DistBackend(Machine(grid=grid, threads_per_locale=4, ledger=led)),
         )
         assert len(led) >= 5  # one spmv_dist per power iteration
         assert led.total > 0
 
     def test_non_square_rejected(self):
-        from repro.algorithms import pagerank_dist
         from repro.distributed import DistSparseMatrix
+        from repro.exec import DistBackend
         from repro.runtime import LocaleGrid, Machine
         from repro.sparse import CSRMatrix
 
         grid = LocaleGrid.for_count(2)
         ad = DistSparseMatrix.from_global(CSRMatrix.empty(4, 6), grid)
         with pytest.raises(ValueError, match="square"):
-            pagerank_dist(ad, Machine(grid=grid))
+            pagerank(ad, backend=DistBackend(Machine(grid=grid)))

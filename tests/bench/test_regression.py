@@ -170,6 +170,14 @@ class TestWallGating:
         assert compare_payloads("stub", base, cur, wall_tolerance=1.5).passed
 
 
+@pytest.fixture()
+def no_rerunners(monkeypatch):
+    """An empty re-runner registry, so tmp results dirs need not hold the
+    real benches' baselines."""
+    monkeypatch.setattr(ablations, "RERUNNERS", {})
+
+
+@pytest.mark.usefixtures("no_rerunners")
 class TestRunGate:
     @pytest.fixture()
     def stub_results(self, tmp_path, monkeypatch):
@@ -197,10 +205,21 @@ class TestRunGate:
         results = run_gate(stub_results, benches=["nope"])
         assert len(results) == 1 and not results[0].passed
 
-    def test_baseline_without_rerunner_skipped(self, stub_results):
+    def test_baseline_without_rerunner_fails(self, stub_results):
         (stub_results / "BENCH_orphan.json").write_text(json.dumps(payload()))
         results = run_gate(stub_results)
-        assert [r.bench for r in results] == ["stub"]
+        assert [r.bench for r in results] == ["orphan", "stub"]
+        assert not results[0].passed and results[1].passed
+        assert any("no re-runner" in p for p in results[0].problems)
+
+    def test_rerunner_without_baseline_fails(self, stub_results, monkeypatch):
+        """A harness whose baseline was never committed is not skipped."""
+        monkeypatch.setitem(ablations.RERUNNERS, "lost", lambda: payload())
+        results = run_gate(stub_results)
+        assert [r.bench for r in results] == ["lost", "stub"]
+        assert not results[0].passed and results[1].passed
+        assert any("BENCH_lost.json" in p for p in results[0].problems)
+        assert main(["--results-dir", str(stub_results)]) == 1
 
     def test_main_exit_codes(self, stub_results, capsys):
         assert main(["--results-dir", str(stub_results)]) == 0
@@ -221,6 +240,7 @@ class TestRunGate:
         assert "no gateable baselines" in capsys.readouterr().out
 
 
+@pytest.mark.usefixtures("no_rerunners")
 class TestCheckBaselines:
     """The ``gate --check`` structural smoke: no re-running, sub-second."""
 
@@ -257,6 +277,15 @@ class TestCheckBaselines:
         (r,) = check_baselines(tmp_path, benches=["nope"])
         assert not r.passed
 
+    def test_rerunner_without_baseline_fails(self, tmp_path, monkeypatch):
+        (tmp_path / "BENCH_stub.json").write_text(json.dumps(payload()))
+        monkeypatch.setitem(ablations.RERUNNERS, "stub", lambda: payload())
+        monkeypatch.setitem(ablations.RERUNNERS, "lost", lambda: payload())
+        lost, stub = check_baselines(tmp_path)
+        assert (lost.bench, stub.bench) == ("lost", "stub")
+        assert not lost.passed and stub.passed
+        assert any("BENCH_lost.json" in p for p in lost.problems)
+
     def test_main_check_flag(self, tmp_path, monkeypatch, capsys):
         (tmp_path / "BENCH_stub.json").write_text(json.dumps(payload()))
         monkeypatch.setitem(ablations.RERUNNERS, "stub", lambda: payload())
@@ -283,4 +312,4 @@ class TestRealBaselinesStructurallySound:
         assert results, "no checked-in baselines discovered"
         for r in results:
             assert r.passed, f"{r.bench}: {r.problems}"
-        assert {r.bench for r in results} >= {"agg", "frontend", "wall"}
+        assert {r.bench for r in results} == set(ablations.RERUNNERS)

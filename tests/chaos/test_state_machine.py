@@ -1,4 +1,4 @@
-"""Stateful chaos: a DistVector/DistMatrix lifecycle under fault injection.
+"""Stateful chaos: a distributed vector/matrix lifecycle under fault injection.
 
 A Hypothesis :class:`RuleBasedStateMachine` drives a distributed vector and
 matrix through sequences of dispatcher-selectable kernels (auto and forced

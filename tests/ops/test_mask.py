@@ -71,7 +71,7 @@ class TestMaskMatrix:
             mask_matrix(CSRMatrix.empty(2, 2), CSRMatrix.empty(2, 3))
 
 
-class TestMaskDistVector:
+class TestMaskDistSparseVector:
     def test_blockwise_matches_global(self):
         x = random_sparse_vector(100, nnz=30, seed=1)
         m = random_sparse_vector(100, nnz=40, seed=2)

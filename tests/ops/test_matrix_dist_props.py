@@ -18,8 +18,8 @@ from hypothesis import given, strategies as st
 
 from repro.algebra.functional import TRIL, TRIU
 from repro.algebra.monoid import PLUS_MONOID
-from repro.dist_api import DistMatrix
 from repro.distributed import DistSparseMatrix
+from repro.exec import DistBackend
 from repro.ops.matrix_dist import (
     mxm_gathered,
     reduce_rows_dense_dist,
@@ -157,12 +157,10 @@ class TestExtract:
             ),
             label="cols",
         )
-        dm = DistMatrix(distribute(a, grid), machine_for(grid))
-        got = dm.extract(rows, cols)
+        b = DistBackend(machine_for(grid))
+        got = b.extract(b.matrix(distribute(a, grid)), rows, cols)
         oracle = a.to_dense()[np.ix_(rows, cols)]
-        assert np.array_equal(
-            np.asarray(got.gather().to_dense()), oracle
-        )
+        assert np.array_equal(np.asarray(b.to_csr(got).to_dense()), oracle)
 
 
 class TestMxmGathered:

@@ -64,7 +64,7 @@ class TestReduceMatrix:
         assert np.allclose(v.to_dense(), dense_sums)
 
 
-class TestReduceDistVector:
+class TestReduceDistSparseVector:
     def test_matches_global(self):
         x = random_sparse_vector(200, nnz=60, seed=3)
         for p in [1, 3, 8]:

@@ -38,7 +38,7 @@ class TestSelectVector:
         assert out.nnz == 0
 
 
-class TestSelectDistVector:
+class TestSelectDistSparseVector:
     @pytest.mark.parametrize("p", [1, 2, 4, 6])
     def test_matches_local_with_global_indices(self, p):
         x = random_sparse_vector(200, nnz=60, seed=1)

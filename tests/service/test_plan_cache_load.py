@@ -4,8 +4,8 @@ The dispatcher's plan cache exports a labelled ``dispatch.plan_cache``
 counter to the *default* registry.  Under a multi-tenant service load —
 many batches, both traversal families, streaming mutations bumping the
 epoch mid-run — every event must come from the backend's one persistent
-dispatcher (``DistMatrix.mxm`` reuses it via the exec frontend rather
-than minting a throwaway ``Dispatcher`` per call), so the exported
+dispatcher (``DistBackend.mxm`` reuses it rather than minting a
+throwaway ``Dispatcher`` per call), so the exported
 totals reconcile exactly with that instance's ``stats()``.
 """
 

@@ -79,16 +79,13 @@ def test_auto_dispatch_matches_forced_push(wl, semiring):
 def test_auto_dispatch_dist_equals_shm_any_grid(wl, p, semiring):
     """Distributed auto dispatch (gather/scatter/sort all chosen by the
     cost model) stays numerically identical to local execution — driven
-    through the DistVector API, so dispatch composes with the OO layer."""
-    from repro.dist_api import DistMatrix, DistVector
+    through the distributed backend, so dispatch composes with the frontend."""
+    from repro.exec import DistBackend
 
     a, x = wl
     y_ref, _ = spmspv_shm(a, x, shared_machine(1), semiring=semiring)
-    grid = LocaleGrid.for_count(p)
-    machine = Machine(grid=grid, threads_per_locale=2)
-    ad = DistMatrix.distribute(a, machine)
-    xd = DistVector.distribute(x, machine)
-    got = xd.vxm(ad, semiring=semiring).gather()
+    b = DistBackend(Machine(grid=LocaleGrid.for_count(p), threads_per_locale=2))
+    got = b.to_sparse(b.vxm(b.vector(x), b.matrix(a), semiring=semiring))
     assert np.array_equal(got.indices, y_ref.indices)
     assert np.allclose(got.values, y_ref.values)
 

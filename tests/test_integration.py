@@ -5,8 +5,9 @@ import pytest
 
 import repro
 from repro.algebra.functional import LAND, MAX, SQUARE
-from repro.algorithms import bfs_levels, bfs_levels_dist
+from repro.algorithms import bfs_levels
 from repro.distributed import DistDenseVector, DistSparseMatrix, DistSparseVector
+from repro.exec import DistBackend
 from repro.generators import random_bool_dense
 from repro.ops import (
     apply2,
@@ -83,10 +84,10 @@ class TestEndToEndPipelines:
         )
         ref = bfs_levels(a, 3)
         grid = LocaleGrid.for_count(9)
-        got = bfs_levels_dist(
+        got = bfs_levels(
             DistSparseMatrix.from_global(a, grid),
             3,
-            Machine(grid=grid, threads_per_locale=2),
+            backend=DistBackend(Machine(grid=grid, threads_per_locale=2)),
         )
         assert np.array_equal(ref, got)
 

@@ -11,11 +11,13 @@ The query service (:mod:`repro.service`, PR 10) sits *above* the
 algorithms and gets the stricter whitelist treatment: it may import only
 the execution frontend, the streaming engine, the observability layer
 (``runtime.telemetry``), the mutation-epoch primitive (``runtime.epoch``
-— what its result cache keys on), and — like the algorithm layer — the
-pure math of :mod:`repro.algebra` / :mod:`repro.sparse` it needs to
-build frontier matrices.  Anything else (kernels, the machine model, the
-algorithms package itself) is a layering break: the service must express
-traversals through the backend protocol, not by calling into siblings.
+— what its result cache keys on), the two multi-source traversal cores
+it batches queries into (``algorithms.bfs_levels_batch`` /
+``algorithms.sssp_batch``), and — like the algorithm layer — the pure
+math of :mod:`repro.algebra` / :mod:`repro.sparse`.  Anything else
+(kernels, the machine model, any other algorithm) is a layering break:
+the service must express traversals through the backend protocol or
+those two cores, not by calling into siblings.
 """
 
 from __future__ import annotations
@@ -128,6 +130,8 @@ SERVICE_ALLOWED = (
     "repro.sparse",
     "repro.runtime.telemetry",
     "repro.runtime.epoch",
+    "repro.algorithms.bfs_levels_batch",
+    "repro.algorithms.sssp_batch",
 )
 
 SERVICE_MODULES = sorted(SERVICE_DIR.glob("*.py"))
@@ -187,7 +191,7 @@ def test_service_modules_exist():
 @pytest.mark.parametrize("path", SERVICE_MODULES, ids=lambda p: p.stem)
 def test_service_imports_only_whitelisted_layers(path: Path):
     """service/*.py may import only exec, streaming, algebra, sparse,
-    runtime.telemetry, and runtime.epoch."""
+    runtime.telemetry, runtime.epoch, and the two multi-source cores."""
     bad = _service_file_violations(path)
     assert not bad, (
         "service modules are whitelisted to "
@@ -228,6 +232,7 @@ def test_service_lint_allows_whitelisted_spellings():
         "from ..algebra.semiring import MIN_PLUS\n",
         "from ..sparse.csr import CSRMatrix\n",
         "from .cache import ResultCache\n",
+        "from ..algorithms import bfs_levels_batch, sssp_batch\n",
         "import numpy as np\n",
     ):
         node = ast.parse(src).body[0]
