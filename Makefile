@@ -84,9 +84,10 @@ report:              ## regenerate EXPERIMENTS.md (paper vs measured)
 examples:
 	for f in examples/quickstart.py examples/graph_analytics.py \
 	         examples/distributed_bfs.py examples/machine_model.py \
-	         examples/oo_api_tour.py examples/cost_tracing.py; do \
+	         examples/api_tour.py examples/cost_tracing.py; do \
 	    echo "== $$f =="; $(PYTHON) $$f || exit 1; done
 
-clean:
-	rm -rf .pytest_cache .hypothesis .benchmarks benchmarks/results
+clean:               ## remove caches and untracked bench outputs; committed baselines stay
+	rm -rf .pytest_cache .hypothesis .benchmarks
+	git clean -fdxq -- benchmarks/results
 	find . -name __pycache__ -type d -exec rm -rf {} +

@@ -59,8 +59,6 @@ from .io import read_matrix_market, write_matrix_market
 from .runtime import EDISON, Breakdown, CostLedger, LocaleGrid, Machine, MachineConfig, shared_machine
 from .sparse import COOMatrix, CSCMatrix, CSRMatrix, DenseVector, SPA, SparseVector
 from .exec import Backend, Descriptor, DistBackend, ShmBackend
-from .matrix_api import Matrix, MatrixMask
-from .vector_api import Mask, Vector
 
 __version__ = "1.0.0"
 
@@ -72,7 +70,6 @@ __all__ = [
     "PLUS_TIMES", "MIN_PLUS", "LOR_LAND",
     # data structures
     "COOMatrix", "CSRMatrix", "CSCMatrix", "SparseVector", "DenseVector", "SPA",
-    "Matrix", "Vector", "Mask", "MatrixMask",
     "DistSparseMatrix", "DistSparseVector", "DistDenseVector",
     # execution frontend
     "Backend", "Descriptor", "ShmBackend", "DistBackend",

@@ -1,15 +1,16 @@
 """The backend protocol the algorithms program against.
 
 A backend owns a :class:`~repro.runtime.locale.Machine` and exposes the
-GraphBLAS op set over *opaque handles*: shared-memory handles are the
-:class:`~repro.matrix_api.Matrix` / :class:`~repro.vector_api.Vector`
-façades, distributed handles are the block-distributed storage itself
-(:class:`~repro.distributed.dist_matrix.DistSparseMatrix` /
-:class:`~repro.distributed.dist_vector.DistSparseVector`).  An algorithm
-written against this
-protocol runs unmodified on either — the CombBLAS 2.0 "write once"
-contract — and every op it issues lands in the machine's cost ledger,
-so whole-algorithm runs decompose exactly like single kernels.
+GraphBLAS op set over *opaque handles*, which are each backend's storage
+itself: shared-memory handles are :class:`~repro.sparse.csr.CSRMatrix` /
+:class:`~repro.sparse.vector.SparseVector`, distributed handles the
+block-distributed
+:class:`~repro.distributed.dist_matrix.DistSparseMatrix` /
+:class:`~repro.distributed.dist_vector.DistSparseVector`.  An algorithm
+written against this protocol runs unmodified on either — the CombBLAS
+2.0 "write once" contract — and every op it issues lands in the
+machine's cost ledger, so whole-algorithm runs decompose exactly like
+single kernels.
 
 Conventions shared by both backends:
 

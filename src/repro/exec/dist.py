@@ -17,8 +17,6 @@ charge the full round trip they perform.
 
 from __future__ import annotations
 
-import weakref
-
 import numpy as np
 
 from ..algebra.functional import TRIL, BinaryOp, UnaryOp
@@ -41,7 +39,7 @@ from ..ops.matrix_dist import (
 from ..ops.reduce import reduce_dist_vector
 from ..ops.spmv import spmv_dist
 from ..runtime.clock import Breakdown
-from ..runtime.epoch import bump_epoch, epoch_of
+from ..runtime.epoch import TransposeCache, bump_epoch
 from ..runtime.locale import Machine
 from ..sparse.csr import CSRMatrix
 from ..sparse.formats import ensure_csr
@@ -50,13 +48,6 @@ from .backend import BackendBase
 from .descriptor import Descriptor
 
 __all__ = ["DistBackend"]
-
-
-def _forget(backend_ref, key: int) -> None:
-    """Finalizer: drop a dead source's transpose from a live backend."""
-    backend = backend_ref()
-    if backend is not None:
-        backend._transposes.pop(key, None)
 
 
 class DistBackend(BackendBase):
@@ -80,7 +71,7 @@ class DistBackend(BackendBase):
         self.scatter_mode = scatter_mode
         self.sort = sort
         self.comm_mode = comm_mode
-        self._transposes: dict[int, tuple[int, DistSparseMatrix]] = {}
+        self._transposes = TransposeCache()
 
     def _check_grid(self, handle, kind: str) -> None:
         if handle.grid.size != self.machine.num_locales:
@@ -135,19 +126,12 @@ class DistBackend(BackendBase):
 
     def transpose(self, a: DistSparseMatrix) -> DistSparseMatrix:
         """``Aᵀ`` (blockwise exchange on square grids, gather/redistribute
-        elsewhere), cached per handle for reuse across iterations."""
-        # keyed by id; a finalizer evicts the entry when ``a`` dies, so the
-        # cache neither keeps sources alive nor lets a recycled id alias a
-        # dead handle's transpose.  The storage epoch guards against
-        # in-place mutation (apply_updates).
-        key = id(a)
-        hit = self._transposes.get(key)
-        if hit is not None and hit[0] == epoch_of(a):
-            return hit[1]
-        if hit is None:
-            weakref.finalize(a, _forget, weakref.ref(self), key)
-        t, _ = transpose_any(a, self.machine)
-        self._transposes[key] = (epoch_of(a), t)
+        elsewhere), cached per handle and epoch for reuse across
+        iterations; the entry dies with ``a``."""
+        t = self._transposes.get(a)
+        if t is None:
+            t, _ = transpose_any(a, self.machine)
+            self._transposes.put(a, t)
         return t
 
     def tril(self, a: DistSparseMatrix, k: int = 0) -> DistSparseMatrix:

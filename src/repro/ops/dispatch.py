@@ -30,7 +30,6 @@ Candidates per operation:
                replication factor ``N`` of the grid, and ``gathered``
                (the allgather fallback — the only candidate on
                non-square grids; see ``docs/spgemm.md``)
-``ewisemult``  ``atomic`` counter vs ``prefix``-sum merge (Listing 6)
 =============  ==========================================================
 """
 
@@ -43,12 +42,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..runtime import fastpath
-from ..runtime.epoch import epoch_of
+from ..runtime.epoch import TransposeCache, epoch_of
 
-from ..algebra.functional import BinaryOp
 from ..algebra.semiring import PLUS_TIMES, Semiring
 from ..distributed.dist_matrix import DistSparseMatrix
-from ..distributed.dist_vector import DistDenseVector, DistSparseVector
+from ..distributed.dist_vector import DistSparseVector
 from ..runtime.aggregation import (
     AGG_DEFAULT,
     AggregationConfig,
@@ -65,8 +63,6 @@ from ..runtime.tasks import parallel_time, sort_time
 from ..runtime.telemetry import registry as _metrics
 from ..sparse.csr import CSRMatrix
 from ..sparse.vector import SparseVector
-from .ewise import ewisemult_dist as _ewisemult_dist
-from .ewise import ewisemult_sd_cost, ewisemult_sparse_dense
 from .mxm_dist import mxm_dist as _mxm_dist
 from .mxm_dist import replication_factors
 from .spmspv import bulk_scatter_cost, spmspv_dist, spmspv_shm, spmspv_shm_cost
@@ -295,7 +291,7 @@ class Dispatcher:
         self.pull_threshold = pull_threshold
         self.assume_transpose_amortized = assume_transpose_amortized
         self.decisions: list[Decision] = []
-        self._transposes: dict[int, tuple[CSRMatrix, CSRMatrix, int]] = {}
+        self._transposes = TransposeCache()
         #: memoised candidate pricing (see :class:`PlanCache`); bypassed
         #: when the fast path is disabled
         self.plan_cache = PlanCache()
@@ -328,35 +324,30 @@ class Dispatcher:
         span the first time, then reused for every later pull.  An
         in-place mutation of ``a`` (a streaming delta batch bumping its
         epoch) invalidates the entry, so the next pull rebuilds — and
-        re-bills — the transpose instead of reading stale data.
+        re-bills — the transpose instead of reading stale data.  Both
+        directions are registered (the reverse weakly), and the entries
+        die with ``a``.
         """
-        cached = self._transposes.get(id(a))
-        if cached is not None and cached[0] is a and cached[2] == epoch_of(a):
-            return cached[1]
-        at = a.transposed()
-        self._transposes[id(a)] = (a, at, epoch_of(a))
-        self.machine.record(
-            "dispatch[transpose]", Breakdown({"build": self._transpose_build_cost(a)})
-        )
+        at = self._transposes.get(a)
+        if at is None:
+            at = a.transposed()
+            self.seed_transpose(a, at)
+            self.machine.record(
+                "dispatch[transpose]",
+                Breakdown({"build": self._transpose_build_cost(a)}),
+            )
         return at
 
-    def prepare_pull(self, a: CSRMatrix) -> "Dispatcher":
-        """Pre-materialise ``Aᵀ`` (charging its build now); returns self."""
-        self.transpose_of(a)
-        return self
-
     def seed_transpose(self, a: CSRMatrix, at: CSRMatrix) -> "Dispatcher":
-        """Register an already-materialised ``at = Aᵀ`` without charging a
-        build — for callers (e.g. ``Matrix.mxv``) that hold both
-        orientations anyway; returns self."""
-        self._transposes[id(a)] = (a, at, epoch_of(a))
+        """Register an already-materialised ``at = Aᵀ`` in both directions
+        (the reverse weakly) without charging a build — for callers that
+        hold both orientations anyway; returns self."""
+        self._transposes.put(a, at)
+        self._transposes.put(at, a, weak=True)
         return self
 
     def _has_transpose(self, a: CSRMatrix) -> bool:
-        cached = self._transposes.get(id(a))
-        return (
-            cached is not None and cached[0] is a and cached[2] == epoch_of(a)
-        )
+        return self._transposes.get(a) is not None
 
     # -- decision bookkeeping -----------------------------------------------
 
@@ -1060,60 +1051,6 @@ class Dispatcher:
             ),
             bd,
         )
-
-    # -- elementwise --------------------------------------------------------
-
-    def ewisemult(
-        self,
-        x: SparseVector,
-        y,
-        op: BinaryOp,
-        *,
-        method: str = "auto",
-    ) -> tuple[SparseVector, Breakdown]:
-        """Sparse×dense eWiseMult choosing atomic-counter vs prefix-sum
-        index collection (the paper's §III-C alternatives) by estimated
-        cost.  ``kept`` is estimated as the full input pattern — the upper
-        bound, which prices the collection phase conservatively for both."""
-        est = self._priced(
-            ("ewisemult", nnz_bucket(x.nnz)),
-            (),
-            lambda: {
-                m: ewisemult_sd_cost(self.machine, x.nnz, x.nnz, method=m).total
-                for m in ("atomic", "prefix")
-            },
-        )
-        forced = method != "auto"
-        if method == "auto":
-            method = min(est, key=est.__getitem__)
-        self._decide("ewisemult", method, est, forced=forced)
-        return ewisemult_sparse_dense(x, y, op, self.machine, method=method)
-
-    def ewisemult_dist(
-        self,
-        x: DistSparseVector,
-        y: DistDenseVector,
-        op: BinaryOp,
-        *,
-        method: str = "auto",
-    ) -> tuple[DistSparseVector, Breakdown]:
-        """Distributed sparse×dense eWiseMult: the atomic-vs-prefix choice
-        is made once from the heaviest block (the makespan locale), since
-        every locale runs the same collection method."""
-        worst = max((blk.nnz for blk in x.blocks), default=0)
-        est = self._priced(
-            ("ewisemult_dist", nnz_bucket(worst)),
-            (),
-            lambda: {
-                m: ewisemult_sd_cost(self.machine, worst, worst, method=m).total
-                for m in ("atomic", "prefix")
-            },
-        )
-        forced = method != "auto"
-        if method == "auto":
-            method = min(est, key=est.__getitem__)
-        self._decide("ewisemult_dist", method, est, forced=forced)
-        return _ewisemult_dist(x, y, op, self.machine, method=method)
 
     def __repr__(self) -> str:  # pragma: no cover - trivial
         return (

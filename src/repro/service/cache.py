@@ -32,11 +32,6 @@ __all__ = ["ResultCache"]
 _MISS = object()
 
 
-def storage_of(handle):
-    """The mutable storage behind a backend handle (the epoch carrier)."""
-    return getattr(handle, "data", handle)
-
-
 class ResultCache:
     """Bounded LRU of finished query results (see module docstring)."""
 
@@ -58,9 +53,9 @@ class ResultCache:
 
     @staticmethod
     def key(algo: str, args: tuple, handle) -> tuple[tuple, object]:
-        """The structural key plus the identity anchor for ``handle``."""
-        storage = storage_of(handle)
-        return (algo, args, id(storage), epoch_of(storage)), storage
+        """The structural key plus the identity anchor for ``handle`` (every
+        backend handle is its own storage, the epoch carrier)."""
+        return (algo, args, id(handle), epoch_of(handle)), handle
 
     def get(self, algo: str, args: tuple, handle):
         """The cached result for the query *at the handle's current

@@ -313,3 +313,21 @@ class TestRealBaselinesStructurallySound:
         for r in results:
             assert r.passed, f"{r.bench}: {r.problems}"
         assert {r.bench for r in results} == set(ablations.RERUNNERS)
+
+    def test_make_clean_keeps_checked_in_baselines(self):
+        from repro.bench.regression import default_results_dir
+
+        root = default_results_dir().parents[1]
+        makefile = (root / "Makefile").read_text()
+        recipe = makefile.split("\nclean:", 1)[1].split("\n\n", 1)[0]
+        removed = [
+            arg.rstrip("/")
+            for line in recipe.splitlines()
+            if line.strip().startswith("rm ")
+            for arg in line.split()[1:]
+            if not arg.startswith("-")
+        ]
+        baselines = default_results_dir().relative_to(root).as_posix()
+        assert not any(
+            baselines == path or baselines.startswith(path + "/") for path in removed
+        ), f"`make clean` removes {baselines}"

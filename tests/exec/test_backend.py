@@ -8,6 +8,8 @@ attribution (:class:`~repro.exec.IterationScope`).
 
 from __future__ import annotations
 
+import gc
+
 import numpy as np
 import pytest
 
@@ -129,6 +131,21 @@ class TestTransposeCache:
         assert np.allclose(
             backend.to_csr(t2).to_dense(), backend.to_csr(a2).to_dense().T
         )
+
+    def test_entries_die_with_their_sources(self, backend):
+        for seed in range(5):
+            backend.transpose(backend.matrix(graph(seed=20 + seed)))
+        gc.collect()
+        assert len(backend._transposes) == 0
+
+    def test_shm_pair_hits_and_dies_together(self):
+        b = ShmBackend()
+        a = b.matrix(graph(seed=30))
+        at = b.transpose(a)
+        assert b.transpose(at) is a
+        del a, at
+        gc.collect()
+        assert len(b._transposes) == 0
 
 
 class TestVxmDescriptor:

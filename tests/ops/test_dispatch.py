@@ -1,5 +1,7 @@
 """Unit tests for the cost-model dispatch engine (repro.ops.dispatch)."""
 
+import gc
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from repro.ops.dispatch import (
 )
 from repro.ops.spmspv import spmspv_shm
 from repro.runtime import CostLedger, LocaleGrid, Machine, Trace, shared_machine
+from repro.runtime.epoch import bump_epoch
 from repro.sparse.csr import CSRMatrix
 from repro.sparse.vector import SparseVector
 
@@ -145,6 +148,7 @@ class TestTransposeCache:
         at = a.transposed()
         disp.seed_transpose(a, at)
         assert disp.transpose_of(a) is at
+        assert disp.transpose_of(at) is a  # registered both ways
         assert not any(
             e[0] == "dispatch[transpose]" for e in machine.ledger.entries
         )
@@ -153,9 +157,32 @@ class TestTransposeCache:
         a, x = _workload()
         cold = Dispatcher(_machine()).estimate_vxm(a, x)[PULL]
         disp = Dispatcher(_machine())
-        disp.prepare_pull(a)
+        disp.transpose_of(a)
         warm = disp.estimate_vxm(a, x)[PULL]
         assert warm < cold
+
+    def test_entries_die_with_their_sources(self):
+        disp = Dispatcher(_machine())
+        for seed in range(5):
+            a, _ = _workload(seed=seed)
+            disp.transpose_of(a)
+        del a
+        gc.collect()
+        assert len(disp._transposes) == 0
+
+    def test_mutation_rebuilds_and_rebills(self):
+        a, _ = _workload()
+        machine = _machine()
+        disp = Dispatcher(machine)
+        at = disp.transpose_of(a)
+        bump_epoch(a)
+        # neither direction survives a mutation of ``a``
+        assert disp._transposes.get(at) is None
+        assert disp.transpose_of(a) is not at
+        builds = [
+            e for e in machine.ledger.entries if e[0] == "dispatch[transpose]"
+        ]
+        assert len(builds) == 2
 
     def test_amortized_flag_removes_build_from_estimate(self):
         a, x = _workload()

@@ -6,10 +6,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.exec import DistBackend, ShmBackend
 from repro.generators import erdos_renyi
+from repro.runtime import LocaleGrid, Machine
 from repro.runtime.epoch import bump_epoch
 from repro.runtime.telemetry.registry import MetricsRegistry
 from repro.service import ResultCache
+from repro.streaming import UpdateBatch
 
 pytestmark = pytest.mark.service
 
@@ -21,6 +24,10 @@ def cache():
 
 class Storage:
     """A minimal stand-in for a mutable storage object (epoch carrier)."""
+
+
+def dist_backend() -> DistBackend:
+    return DistBackend(Machine(grid=LocaleGrid.for_count(4), threads_per_locale=2))
 
 
 class TestResultCache:
@@ -46,17 +53,15 @@ class TestResultCache:
         cache.put("bfs", (0,), s, np.ones(2))
         np.testing.assert_array_equal(cache.get("bfs", (0,), s), np.ones(2))
 
-    def test_handles_unwrap_to_storage(self, cache):
-        class Handle:
-            def __init__(self, data):
-                self.data = data
-
-        s = Storage()
-        cache.put("bfs", (0,), Handle(s), np.zeros(2))
-        # a different handle over the same storage still hits
-        assert cache.get("bfs", (0,), Handle(s)) is not None
-        bump_epoch(s)
-        assert cache.get("bfs", (0,), Handle(s)) is None
+    @pytest.mark.parametrize("make", [ShmBackend, dist_backend], ids=["shm", "dist"])
+    def test_backend_handles_are_their_own_storage(self, cache, make):
+        b = make()
+        h = b.matrix(erdos_renyi(16, 2, seed=2))
+        cache.put("bfs", (0,), h, np.zeros(2))
+        # re-adopting the handle yields the same storage, so it still hits
+        assert cache.get("bfs", (0,), b.matrix(h)) is not None
+        b.apply_updates(h, UpdateBatch.from_edges(16, 16, inserts=([0], [1])))
+        assert cache.get("bfs", (0,), h) is None
 
     def test_different_storage_objects_do_not_collide(self, cache):
         s1, s2 = Storage(), Storage()

@@ -37,6 +37,12 @@ class TestConstruction:
         assert np.array_equal(i3.to_dense(), np.eye(3))
         i3.check()
 
+    def test_copy_is_deep(self):
+        a = small_matrix()
+        b = a.copy()
+        b.values[0] = 9.0
+        assert a[0, 0] == 1.0
+
     def test_from_triples_merges_duplicates(self):
         a = CSRMatrix.from_triples(2, 2, [0, 0], [1, 1], [2.0, 3.0])
         assert a.nnz == 1

@@ -79,9 +79,9 @@ class TestGraphStream:
     def test_apply_bumps_storage_epoch(self):
         b = shm_backend()
         s = GraphStream(b, graph(), registry=MetricsRegistry())
-        e0 = epoch_of(s.handle.data)
+        e0 = epoch_of(s.handle)
         s.apply(insert_batch(16, [(1, 2)]))
-        assert epoch_of(s.handle.data) == e0 + 1
+        assert epoch_of(s.handle) == e0 + 1
 
     def test_shape_mismatch_raises(self):
         s = GraphStream(shm_backend(), graph(), registry=MetricsRegistry())

@@ -19,14 +19,23 @@ def run_example(name: str, capsys) -> str:
     return capsys.readouterr().out
 
 
-@pytest.mark.parametrize(
-    "script,needle",
-    [
-        ("quickstart.py", "matches the dense-numpy oracle"),
-        ("graph_analytics.py", "Matrix Market round-trip OK"),
-        ("oo_api_tour.py", "distributed vxm on 16 nodes"),
-    ],
-)
+#: (script, text its output must contain)
+NEEDLES = [
+    ("quickstart.py", "matches the dense-numpy oracle"),
+    ("graph_analytics.py", "Matrix Market round-trip OK"),
+    ("api_tour.py", "distributed vxm on 16 nodes"),
+    ("cost_tracing.py", "per-component totals"),
+]
+#: scripts with a dedicated test below
+DEDICATED = {"distributed_bfs.py", "machine_model.py"}
+
+
+def test_every_example_is_run():
+    scripts = {p.name for p in EXAMPLES.glob("*.py")} - {"regenerate_figures.py"}
+    assert scripts == {s for s, _ in NEEDLES} | DEDICATED
+
+
+@pytest.mark.parametrize("script,needle", NEEDLES)
 def test_example_runs(script, needle, capsys):
     out = run_example(script, capsys)
     assert needle in out

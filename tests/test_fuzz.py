@@ -65,11 +65,11 @@ def test_spmspv_dist_equals_shm_any_grid(wl, p, semiring):
 def test_auto_dispatch_matches_forced_push(wl, semiring):
     """The cost-model auto dispatcher is an equivalence variant too: whatever
     kernel it selects must agree with the baseline push kernel."""
-    from repro.vector_api import Vector
+    from repro.exec import ShmBackend
 
     a, x = wl
     y_ref, _ = spmspv_shm(a, x, shared_machine(1), semiring=semiring)
-    got = Vector.wrap(x).vxm(a, semiring=semiring, mode="auto").data
+    got = ShmBackend().vxm(x, a, semiring=semiring, mode="auto")
     assert np.array_equal(got.indices, y_ref.indices)
     assert np.allclose(got.values, y_ref.values)
 
