@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test test-fast test-props test-chaos test-algos test-spmd test-telemetry test-streaming test-service bench bench-agg bench-frontend bench-wall bench-spgemm bench-streaming bench-service bench-gate bench-full figures report examples clean
+.PHONY: install test test-fast test-props test-chaos test-algos test-spmd test-telemetry test-streaming test-service bench bench-agg bench-frontend bench-wall bench-spgemm bench-streaming bench-service bench-e2e bench-gate bench-full figures report examples clean
 
 # coverage flags only when pytest-cov is importable (it is optional; the
 # floor pins the fault/retry machinery in src/repro/runtime/)
@@ -68,6 +68,13 @@ bench-streaming:     ## incremental-vs-full streaming ablation; writes results/B
 
 bench-service:       ## batched-vs-sequential service ablation; writes results/BENCH_service.json
 	$(PYTHON) -m pytest benchmarks/test_abl_service.py
+
+SEED ?= 1
+OUT ?= e2e-runs
+
+bench-e2e:           ## end-to-end benchmark, every workload at SEED, records in OUT (summary: compare.py)
+	$(PYTHON) benchmarks/e2e/run.py --seed $(SEED) --out $(OUT)
+	$(PYTHON) benchmarks/e2e/compare.py $(OUT)
 
 bench-gate:          ## perf-regression gate vs results/BENCH_*.json golden baselines
 	$(PYTHON) -m repro gate

@@ -23,6 +23,7 @@ import numpy as np
 from ..runtime import fastpath
 from ..sparse.csr import CSRMatrix
 from ..sparse.dcsr import DCSRMatrix
+from ..sparse.sort import row_major_order
 from ..sparse.spa import SPA
 from .mask import mask_matrix
 from ..algebra.semiring import PLUS_TIMES, Semiring
@@ -52,7 +53,7 @@ def mxm(
     b: LocalMatrix,
     *,
     semiring: Semiring = PLUS_TIMES,
-    mask: CSRMatrix | None = None,
+    mask: LocalMatrix | None = None,
     complement: bool = False,
 ) -> CSRMatrix:
     """ESC SpGEMM: ``C = A ⊗ B`` (optionally ``C⟨mask⟩``).
@@ -65,20 +66,52 @@ def mxm(
     only needs per-nonzero rows and a row gather, which both formats
     serve — DCSR via its vectorised binary-search lookup); the output is
     always CSR and bit-identical across operand formats.
+
+    With a mask (CSR or DCSR, ``complement`` honoured), the fast path
+    drops every expanded product the mask excludes *before* the sort, so
+    the compress only orders the survivors (Buluç & Gilbert's masked
+    ESC).  Pruning removes whole output coordinates and keeps each
+    survivor's products in expansion order, so the result is
+    bit-identical to the reference: compress everything, then
+    :func:`~repro.ops.mask.mask_matrix`.
     """
     if a.ncols != b.nrows:
         raise ValueError(f"inner dimensions disagree: {a.ncols} vs {b.nrows}")
+    if mask is not None and mask.shape != (a.nrows, b.ncols):
+        raise ValueError(f"shape mismatch: {(a.nrows, b.ncols)} vs {mask.shape}")
     expanded = b.extract_rows(a.colidx)  # one B-row per A-nonzero
     reps = np.diff(expanded.rowptr)
     out_rows = np.repeat(a.row_indices(), reps)
+    out_cols = expanded.colidx
     avals = np.repeat(a.values, reps)
-    out_vals = np.asarray(semiring.mult(avals, expanded.values))
+    bvals = expanded.values
+    prune = mask is not None and fastpath.enabled()
+    if prune:
+        hit = _in_mask(out_rows, out_cols, mask)
+        keep = ~hit if complement else hit
+        out_rows, out_cols = out_rows[keep], out_cols[keep]
+        avals, bvals = avals[keep], bvals[keep]
+    out_vals = np.asarray(semiring.mult(avals, bvals))
     c = CSRMatrix.from_triples(
-        a.nrows, b.ncols, out_rows, expanded.colidx, out_vals, dup=semiring.add
+        a.nrows, b.ncols, out_rows, out_cols, out_vals, dup=semiring.add
     )
-    if mask is not None:
+    if mask is not None and not prune:
         c = mask_matrix(c, mask, complement=complement)
     return c
+
+
+def _in_mask(rows: np.ndarray, cols: np.ndarray, mask: LocalMatrix) -> np.ndarray:
+    """Whether each ``(row, col)`` is stored in ``mask``: a ``searchsorted``
+    of the row-major linear keys into the mask's, which its sorted rows
+    and columns already keep ascending."""
+    if mask.nnz == 0:
+        return np.zeros(rows.size, dtype=bool)
+    mkeys = mask.row_indices() * mask.ncols + mask.colidx
+    keys = rows * mask.ncols
+    keys += cols
+    pos = np.searchsorted(mkeys, keys)
+    np.minimum(pos, mkeys.size - 1, out=pos)
+    return mkeys[pos] == keys
 
 
 def mxm_gustavson(
@@ -92,7 +125,7 @@ def mxm_gustavson(
     """Row-wise Gustavson SpGEMM: per-row SPA merge semantics.
 
     Fast path (default): all rows' SPA merges batched into one vectorized
-    pass — expand every product, stable ``lexsort`` by ``(row, col)``,
+    pass — expand every product, stable row-major order by ``(row, col)``,
     ``reduceat`` per output entry with the additive monoid, cast to the SPA
     accumulator dtype.  Per output coordinate the products arrive in
     exactly the order the per-row SPA sees them, so the result is
@@ -117,8 +150,8 @@ def mxm_gustavson(
     cols = expanded.colidx
     if products.size:
         # rows are already non-decreasing (row-major expansion); the stable
-        # lexsort groups each output coordinate keeping product order
-        order = np.lexsort((cols, out_rows))
+        # row-major order groups each output coordinate keeping product order
+        order = row_major_order(out_rows, cols)
         out_rows, cols, products = out_rows[order], cols[order], products[order]
         is_first = np.empty(products.size, dtype=bool)
         is_first[0] = True

@@ -15,6 +15,7 @@ import numpy as np
 
 from ..algebra.monoid import Monoid, PLUS_MONOID
 from ..runtime import fastpath
+from .sort import row_major_order
 
 __all__ = ["COOMatrix", "coalesce"]
 
@@ -43,14 +44,14 @@ def coalesce(
         return rows, cols, values
     if fastpath.enabled() and rows.size > 1:
         # already strictly (row, col)-sorted with unique coordinates —
-        # e.g. block cuts of an existing CSR — means the stable lexsort is
+        # e.g. block cuts of an existing CSR — means the row-major order is
         # the identity permutation and no duplicates need merging, so the
         # result below would be these arrays unchanged; two C comparisons
         # beat re-sorting
         up = rows[1:] > rows[:-1]
         if np.all(up | ((rows[1:] == rows[:-1]) & (cols[1:] > cols[:-1]))):
             return rows.copy(), cols.copy(), values.copy()
-    order = np.lexsort((cols, rows))
+    order = row_major_order(rows, cols)
     rows, cols, values = rows[order], cols[order], values[order]
     is_first = np.empty(rows.size, dtype=bool)
     is_first[0] = True

@@ -20,6 +20,7 @@ from ..algebra.functional import IndexUnaryOp, UnaryOp
 from ..algebra.monoid import Monoid, PLUS_MONOID
 from ..runtime import fastpath
 from .coo import COOMatrix, coalesce
+from .sort import stable_argsort_bounded
 
 __all__ = ["CSRMatrix"]
 
@@ -194,15 +195,15 @@ class CSRMatrix:
 
         Equivalent to a CSR→CSC conversion reinterpreted as CSR of Aᵀ;
         stability keeps each output row's columns sorted because input
-        nonzeros are visited in row order.
+        nonzeros are visited in row order.  The sort is
+        :func:`~repro.sparse.sort.stable_argsort_bounded` over column ids
+        ``< ncols``: a radix sort for blocks of up to 65 536 columns on the
+        fast path, the plain stable argsort in reference mode.
         """
         t_rowptr = np.zeros(self.ncols + 1, dtype=np.int64)
         counts = np.bincount(self.colidx, minlength=self.ncols)
         np.cumsum(counts, out=t_rowptr[1:])
-        # stable ordering: sort nonzeros by (col, row); lexsort over the
-        # already row-sorted colidx gives positions grouped by column with
-        # rows ascending inside each group.
-        order = np.argsort(self.colidx, kind="stable")
+        order = stable_argsort_bounded(self.colidx, self.ncols)
         t_colidx = self.row_indices()[order]
         t_values = self.values[order]
         return CSRMatrix(self.ncols, self.nrows, t_rowptr, t_colidx, t_values)

@@ -18,6 +18,9 @@ Two algorithms are provided, each in two proven-bit-identical forms:
   integer keys has a unique answer, so bit-identity holds by construction
   and the suite enforces it anyway.
 
+:func:`row_major_order` is the matrix-side counterpart: the one stable
+(row, col) ordering behind every COO coalesce and SpGEMM compress.
+
 The *simulated* cost of sorting is charged by
 :func:`repro.runtime.tasks.sort_time` from the pass structure of the
 reference algorithms; which implementation executes never changes a
@@ -39,6 +42,7 @@ __all__ = [
     "merge_sort_cost",
     "radix_sort_cost",
     "stable_argsort_bounded",
+    "row_major_order",
 ]
 
 
@@ -46,12 +50,13 @@ def stable_argsort_bounded(keys: np.ndarray, bound: int) -> np.ndarray:
     """``np.argsort(keys, kind="stable")`` for non-negative integer keys
     known to be ``< bound``.
 
-    numpy's stable integer argsort is an LSD radix sort with one pass per
-    key byte, so sorting int64 keys that all fit in one or two bytes wastes
-    6-7 passes.  Casting to the narrowest unsigned dtype that holds
-    ``bound - 1`` is order-preserving and injective, hence the stable
-    permutation is *identical* — the differential suite pins this.  Only
-    active on the fast path; reference mode keeps the plain argsort.
+    numpy's stable argsort is an LSD radix sort only for keys of 16 bits
+    or fewer; wider keys get timsort.  Casting to the narrowest unsigned
+    dtype that holds ``bound - 1`` is order-preserving and injective, hence
+    the stable permutation is *identical* — the differential suite pins
+    this.  Bounds up to ``2**16`` thus buy a radix sort; the ``uint32``
+    cast gains no radix sort, only a timsort over half the key bytes.
+    Only active on the fast path; reference mode keeps the plain argsort.
     """
     if fastpath.enabled() and keys.size >= 64 and 0 < bound <= (1 << 32):
         if bound <= (1 << 8):
@@ -60,6 +65,42 @@ def stable_argsort_bounded(keys: np.ndarray, bound: int) -> np.ndarray:
             return np.argsort(keys.astype(np.uint16), kind="stable")
         return np.argsort(keys.astype(np.uint32), kind="stable")
     return np.argsort(keys, kind="stable")
+
+
+def row_major_order(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """``np.lexsort((cols, rows))``: the stable permutation that orders
+    ``(row, col)`` coordinates row-major, ties kept in input order.
+
+    The one place the library decides how to order (row, col) triples.
+    Fast path: one in-place ``np.sort`` over int64 values that pack the
+    linear key ``(row - rmin) * span_c + (col - cmin)`` above the position
+    bits.  Every packed value is unique, so an unstable C sort yields the
+    stable order, and masking off the key leaves the permutation — one
+    direct sort of n words instead of two indirect stable passes.
+    Reference mode, arrays under 64 elements and packed keys that would
+    overflow int64 keep ``lexsort``.
+    """
+    rows = np.asarray(rows)
+    cols = np.asarray(cols)
+    n = rows.size
+    if fastpath.enabled() and n >= 64:
+        rmin, rmax = int(rows.min()), int(rows.max())
+        cmin, cmax = int(cols.min()), int(cols.max())
+        span_c = cmax - cmin + 1
+        bits = (n - 1).bit_length()
+        if ((rmax - rmin + 1) * span_c) << bits <= 1 << 63:
+            packed = np.subtract(rows, rmin, dtype=np.int64)
+            packed *= span_c
+            # may wrap before the subtraction; int64 arithmetic is modulo
+            # 2**64 and the final key fits, so the result is exact
+            packed += cols
+            packed -= cmin
+            packed <<= bits
+            packed |= np.arange(n, dtype=np.int64)
+            packed.sort()
+            packed &= (1 << bits) - 1
+            return packed
+    return np.lexsort((cols, rows))
 
 
 def merge_two(a: np.ndarray, b: np.ndarray) -> np.ndarray:

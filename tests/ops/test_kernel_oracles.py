@@ -14,6 +14,10 @@ Coverage, per the fast-path inventory in ``docs/performance.md``:
   stable argsort — spanning the uint8/uint16/uint32 width cuts and the
   small-array bypass;
 * ``merge_sort`` / ``radix_sort`` vs their spelled-out references;
+* ``row_major_order`` (the packed-key sort) and ``coalesce`` vs
+  ``np.lexsort`` — duplicates, negative coordinates, int64 wrap-around,
+  spans past the packing limit, and the size-64 bypass;
+* ``CSRMatrix.transposed`` (the bounded radix argsort) fast vs reference;
 * ``Monoid.reduceat_dense`` vs ``Monoid.reduceat`` under the dense-starts
   guarantee, across monoids and dtypes;
 * ``SparseVector.from_pairs`` (build with duplicates) fast vs reference;
@@ -52,12 +56,14 @@ from repro.ops.spmspv import spmspv_dist, spmspv_shm
 from repro.ops.spmspv_merge import spmspv_shm_merge
 from repro.runtime import CostLedger, LocaleGrid, Machine, fastpath, shared_machine
 from repro.runtime.aggregation import group_by_owner
+from repro.sparse.coo import coalesce
 from repro.sparse.csr import CSRMatrix, _ranges
 from repro.sparse.sort import (
     merge_sort,
     merge_sort_reference,
     radix_sort,
     radix_sort_reference,
+    row_major_order,
     stable_argsort_bounded,
 )
 from repro.sparse.vector import SparseVector
@@ -153,6 +159,108 @@ class TestSortKernels:
         ref, fast = _both_modes(lambda: radix_sort(keys.copy()))
         assert_same_array(ref, fast)
         assert np.array_equal(ref, radix_sort_reference(keys.copy()))
+
+
+#: coordinate regimes for the row-major oracles: ``(row lo, row hi, col
+#: lo, col hi)`` half-open ranges.  The "wrap" regimes overflow int64 in
+#: the packed key's intermediate sum; "wide" spans past the packing
+#: limit, so the fast path must fall back to lexsort.
+COORDS = {
+    "duplicates": (0, 3, 0, 4),
+    "negative": (-40, 40, -7, 5),
+    "wrap": (0, 2**20, 2**63 - 2**30, 2**63 - 1),
+    "wrap_negative": (0, 2**20, -(2**63), -(2**63) + 2**30),
+    "wide": (-(2**40), 2**40, 0, 2**30),
+}
+
+
+def _triples(n, regime, dtype, seed=0):
+    rng = np.random.default_rng(seed)
+    rlo, rhi, clo, chi = COORDS[regime]
+    rows = rng.integers(rlo, rhi, size=n, dtype=np.int64)
+    cols = rng.integers(clo, chi, size=n, dtype=np.int64)
+    vals = rng.integers(-4, 5, size=n).astype(dtype)
+    return rows, cols, vals
+
+
+class TestRowMajorOrder:
+    @pytest.mark.parametrize("n", [0, 1, 63, 64, 1000])
+    @pytest.mark.parametrize("regime", sorted(COORDS))
+    def test_matches_lexsort(self, n, regime):
+        rows, cols, _ = _triples(n, regime, np.int64)
+        ref, fast = _both_modes(lambda: row_major_order(rows, cols))
+        assert_same_array(ref, fast, regime)
+        assert_same_array(np.lexsort((cols, rows)), fast, regime)
+
+    @pytest.mark.parametrize("n", [0, 1, 63, 64, 1000])
+    @pytest.mark.parametrize("regime", sorted(COORDS))
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("dup", [PLUS_MONOID, MIN_MONOID])
+    def test_coalesce_matches_reference(self, n, regime, dtype, dup):
+        rows, cols, vals = _triples(n, regime, dtype, seed=n)
+        ref, fast = _both_modes(lambda: coalesce(rows, cols, vals, dup))
+        for r, f, label in zip(ref, fast, ("rows", "cols", "values")):
+            assert_same_array(r, f, f"{regime} {label}")
+
+    @given(
+        coords=st.lists(
+            st.tuples(st.integers(-5, 5), st.integers(-(2**31), 2**31)),
+            max_size=200,
+        )
+    )
+    @settings(PROFILE)
+    def test_property_matches_lexsort(self, coords):
+        rows = np.array([r for r, _ in coords], dtype=np.int64)
+        cols = np.array([c for _, c in coords], dtype=np.int64)
+        ref, fast = _both_modes(lambda: row_major_order(rows, cols))
+        assert_same_array(ref, fast)
+        assert_same_array(np.lexsort((cols, rows)), fast)
+
+    @pytest.mark.parametrize("extra_col, lexsort_calls", [(0, 0), (1, 1)])
+    def test_packing_limit(self, monkeypatch, extra_col, lexsort_calls):
+        """n = 64 packs 6 position bits, leaving 2**57 linear keys: a
+        2**28 x 2**29 span is the largest that takes the packed sort, one
+        more column falls back to lexsort."""
+        rng = np.random.default_rng(3)
+        rows = rng.integers(0, 2**28, size=64, dtype=np.int64)
+        cols = rng.integers(0, 2**29 + extra_col, size=64, dtype=np.int64)
+        rows[:2] = 0, 2**28 - 1
+        cols[:2] = 0, 2**29 - 1 + extra_col
+        calls = []
+        lexsort = np.lexsort
+
+        def spy(keys):
+            calls.append(1)
+            return lexsort(keys)
+
+        expected = lexsort((cols, rows))
+        monkeypatch.setattr(np, "lexsort", spy)
+        with fastpath.force(True):
+            fast = row_major_order(rows, cols)
+        assert len(calls) == lexsort_calls
+        assert_same_array(expected, fast)
+
+
+class TestTransposed:
+    @given(pair=matrix_vector_pairs(max_side=30, max_nnz=200))
+    @settings(PROFILE_FAST)
+    def test_fast_vs_reference(self, pair):
+        a, _ = pair
+        ref, fast = _both_modes(lambda: a.transposed())
+        for label in ("rowptr", "colidx", "values"):
+            assert_same_array(getattr(ref, label), getattr(fast, label), label)
+
+    @pytest.mark.parametrize("ncols", [5, 256, 257, 2**16, 2**16 + 1])
+    def test_radix_width_cuts(self, ncols):
+        rng = np.random.default_rng(ncols)
+        nrows = 40
+        rows = rng.integers(0, nrows, size=500)
+        cols = rng.integers(0, ncols, size=500)
+        a = CSRMatrix.from_triples(nrows, ncols, rows, cols, rng.random(500))
+        ref, fast = _both_modes(lambda: a.transposed())
+        for label in ("rowptr", "colidx", "values"):
+            assert_same_array(getattr(ref, label), getattr(fast, label), label)
+        fast.check()
 
 
 # ---------------------------------------------------------------------------

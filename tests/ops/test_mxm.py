@@ -6,8 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 from repro.algebra import MIN_PLUS, PLUS_PAIR, PLUS_TIMES
 from repro.generators import erdos_renyi
-from repro.ops import flops, mxm, mxm_gustavson
-from repro.sparse import CSRMatrix
+from repro.ops import flops, mask_matrix, mxm, mxm_gustavson
+from repro.runtime import fastpath
+from repro.sparse import CSRMatrix, DCSRMatrix
 
 
 def rand(seed, n=10, m=None, density=0.3):
@@ -108,6 +109,89 @@ class TestMasked:
         c1 = mxm(a, b, mask=mask)
         c2 = mxm_gustavson(a, b, mask=mask)
         assert np.allclose(c1.to_dense(), c2.to_dense())
+
+
+def _order_sensitive(seed, n, m, empty_rows=()):
+    """Dense-ish float64 operand whose every stored value is an inexact
+    float, so reordering a long sum changes its last bits."""
+    rng = np.random.default_rng(seed)
+    d = rng.random((n, m)) + 0.25
+    d[list(empty_rows), :] = 0.0
+    return CSRMatrix.from_dense(d)
+
+
+#: 12x24 · 24x10: every output coordinate of a non-empty A row sums 23
+#: products (B row 5 is empty); A rows 3 and 7 are empty
+ESC_A = _order_sensitive(1, 12, 24, empty_rows=(3, 7))
+ESC_B = _order_sensitive(2, 24, 10, empty_rows=(5,))
+
+
+def _esc_mask(kind):
+    rng = np.random.default_rng(3)
+    if kind == "random":
+        return CSRMatrix.from_dense((rng.random((12, 10)) < 0.4).astype(float))
+    if kind == "empty":
+        return CSRMatrix.empty(12, 10)
+    if kind == "disjoint":  # only A's empty rows: a plain mask keeps nothing
+        d = np.zeros((12, 10))
+        d[[3, 7], :] = 1.0
+        return CSRMatrix.from_dense(d)
+    return CSRMatrix.from_dense(np.ones((12, 10)))  # "full"
+
+
+def _as(fmt, m):
+    return DCSRMatrix.from_csr(m) if fmt == "dcsr" else m
+
+
+class TestMaskedESCDifferential:
+    """On both sides of the fast-path switch, the masked ESC multiply —
+    which prunes products before the compress on the fast path — equals
+    the unmasked product filtered afterwards, bit for bit."""
+
+    def test_fixture_exposes_summation_order(self):
+        ad, bd = ESC_A.to_dense(), ESC_B.to_dense()
+        counts = (ad != 0).astype(int) @ (bd != 0).astype(int)
+        assert counts[counts > 0].min() >= 16
+        prods = ad[:, :, None] * bd[None, :, :]
+        forward = np.cumsum(prods, axis=1)[:, -1, :]
+        backward = np.cumsum(prods[:, ::-1, :], axis=1)[:, -1, :]
+        assert (forward != backward).any()
+
+    @pytest.mark.parametrize("fast", [False, True], ids=["reference", "fast"])
+    @pytest.mark.parametrize("semiring", [PLUS_TIMES, MIN_PLUS, PLUS_PAIR], ids=lambda s: s.name)
+    @pytest.mark.parametrize("kind", ["random", "empty", "disjoint", "full"])
+    @pytest.mark.parametrize("complement", [False, True])
+    @pytest.mark.parametrize(
+        "fmts", [("csr", "csr", "csr"), ("dcsr", "dcsr", "dcsr"), ("csr", "dcsr", "dcsr"),
+                 ("dcsr", "csr", "csr")], ids="-".join,
+    )
+    def test_equals_mask_after_compress(self, fast, semiring, kind, complement, fmts):
+        a, b, m = _as(fmts[0], ESC_A), _as(fmts[1], ESC_B), _as(fmts[2], _esc_mask(kind))
+        with fastpath.force(fast):
+            got = mxm(a, b, semiring=semiring, mask=m, complement=complement)
+            want = mask_matrix(mxm(a, b, semiring=semiring), m, complement=complement)
+        for label in ("rowptr", "colidx", "values"):
+            g, w = getattr(got, label), getattr(want, label)
+            assert g.dtype == w.dtype, label
+            assert np.array_equal(g, w), label
+        got.check()
+        with fastpath.force(not fast):
+            other = mxm(a, b, semiring=semiring, mask=m, complement=complement)
+        assert other.values.dtype == got.values.dtype
+        assert np.array_equal(other.values, got.values)
+        assert np.array_equal(other.colidx, got.colidx)
+
+    def test_keeps_nothing(self):
+        with fastpath.force(True):
+            c = mxm(ESC_A, ESC_B, mask=_esc_mask("disjoint"))
+            everything = mxm(ESC_A, ESC_B, mask=_esc_mask("disjoint"), complement=True)
+        assert c.nnz == 0 and c.values.dtype == np.float64
+        assert everything.nnz == mxm(ESC_A, ESC_B).nnz
+
+    @pytest.mark.parametrize("fast", [False, True], ids=["reference", "fast"])
+    def test_wrong_shape_mask_raises(self, fast):
+        with fastpath.force(fast), pytest.raises(ValueError, match="shape"):
+            mxm(ESC_A, ESC_B, mask=CSRMatrix.empty(12, 11))
 
 
 class TestFlops:

@@ -237,3 +237,46 @@ def test_service_lint_allows_whitelisted_spellings():
     ):
         node = ast.parse(src).body[0]
         assert _service_violations_in(node, ("repro", "service", "x")) == [], src
+
+
+# ---------------------------------------------------------------------------
+# sparse layer: one module decides how (row, col) triples are ordered
+# ---------------------------------------------------------------------------
+
+SRC_DIR = Path(__file__).resolve().parent.parent / "src" / "repro"
+
+#: the only module that may call ``lexsort`` (``sparse.sort.row_major_order``
+#: and its reference fallback)
+LEXSORT_HOME = SRC_DIR / "sparse" / "sort.py"
+
+
+def _lexsort_calls(tree: ast.AST) -> list[int]:
+    """Line numbers of ``np.lexsort(...)`` / ``numpy.lexsort(...)`` /
+    bare ``lexsort(...)`` calls."""
+    lines = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        fn = node.func
+        name = fn.attr if isinstance(fn, ast.Attribute) else getattr(fn, "id", None)
+        if name == "lexsort":
+            lines.append(node.lineno)
+    return lines
+
+
+def test_lexsort_only_in_sparse_sort():
+    """Every (row, col) ordering goes through ``row_major_order``."""
+    bad = [
+        f"{path.relative_to(SRC_DIR)}:{line}"
+        for path in sorted(SRC_DIR.rglob("*.py"))
+        if path != LEXSORT_HOME
+        for line in _lexsort_calls(ast.parse(path.read_text(), filename=str(path)))
+    ]
+    assert not bad, "call sparse.sort.row_major_order instead of lexsort:\n  " + "\n  ".join(bad)
+    assert _lexsort_calls(ast.parse(LEXSORT_HOME.read_text()))
+
+
+def test_lexsort_lint_catches_every_spelling():
+    for src in ("np.lexsort((c, r))\n", "numpy.lexsort((c, r))\n", "lexsort((c, r))\n"):
+        assert _lexsort_calls(ast.parse(src)) == [1], src
+    assert _lexsort_calls(ast.parse("np.argsort(k, kind='stable')\n")) == []
