@@ -35,7 +35,7 @@ Candidates per operation:
 
 from __future__ import annotations
 
-import math
+import weakref
 from collections import OrderedDict
 from dataclasses import dataclass, field
 
@@ -50,7 +50,6 @@ from ..distributed.dist_vector import DistSparseVector
 from ..runtime.aggregation import (
     AGG_DEFAULT,
     AggregationConfig,
-    flush_cost,
     flush_startup,
     gather_agg,
     overlap_exposed,
@@ -63,8 +62,9 @@ from ..runtime.tasks import parallel_time, sort_time
 from ..runtime.telemetry import registry as _metrics
 from ..sparse.csr import CSRMatrix
 from ..sparse.vector import SparseVector
+from .matrix_dist import gathered_bill, mxm_gathered
+from .mxm_dist import SummaSchedule, SummaStats, replication_factors, stage_flops
 from .mxm_dist import mxm_dist as _mxm_dist
-from .mxm_dist import replication_factors
 from .spmspv import bulk_scatter_cost, spmspv_dist, spmspv_shm, spmspv_shm_cost
 from .spmspv_merge import spmspv_merge_cost, spmspv_shm_merge
 from .spmv import vxm_pull, vxm_pull_cost
@@ -130,17 +130,18 @@ class PlanCache:
     :class:`Dispatcher` re-prices every candidate kernel on every call —
     per BFS level, per PageRank iteration — even though the inputs barely
     change between iterations.  The cache stores each priced ``estimates``
-    dict under a structural key plus *identity anchors* (the actual
-    operand matrices, compared with ``is``), so:
+    dict under a structural key plus *identity anchors* (weak references
+    to the actual operand matrices, compared with ``is``, so a cached
+    plan never keeps its operands alive), so:
 
     * a hit returns the **identical** plan object — no re-pricing, no new
       allocation (the property suite pins ``lookup(k) is lookup(k)``);
     * any nnz-bucket crossing, grid change, or descriptor
       (:class:`~repro.runtime.aggregation.AggregationConfig`) change is a
       different key — stale plans are unreachable, not patched;
-    * a different matrix object that happens to reuse a key (e.g. after
-      garbage collection) misses via the anchor check instead of replaying
-      the wrong plan;
+    * a different matrix object that happens to reuse a key — or any key
+      whose operands have since been collected — misses via the anchor
+      check instead of replaying the wrong plan;
     * **in-place mutation** — identity anchors cannot see it, so every
       matrix-keyed plan also carries the operands' mutation epochs
       (:func:`~repro.runtime.epoch.epoch_of`) in its structural key.  The
@@ -185,8 +186,8 @@ class PlanCache:
         """Return the cached plan for ``key`` (or ``None``).
 
         ``anchors`` are the operand objects the plan was priced from; an
-        entry whose anchors are not the *same objects* is treated as a miss
-        and dropped.
+        entry whose anchors are not the *same live objects* is treated as
+        a miss and dropped.
         """
         entry = self._entries.get(key)
         if entry is None:
@@ -195,7 +196,7 @@ class PlanCache:
             return None
         stored_anchors, estimates = entry
         if len(stored_anchors) != len(anchors) or any(
-            s is not a for s, a in zip(stored_anchors, anchors)
+            ref() is not a for ref, a in zip(stored_anchors, anchors)
         ):
             del self._entries[key]
             self.misses += 1
@@ -213,7 +214,7 @@ class PlanCache:
             evicted_key, _ = self._entries.popitem(last=False)
             self.evictions += 1
             self._count("eviction", evicted_key)
-        self._entries[key] = (anchors, estimates)
+        self._entries[key] = (tuple(weakref.ref(a) for a in anchors), estimates)
         return estimates
 
     def invalidate(self) -> None:
@@ -660,6 +661,13 @@ class Dispatcher:
         if desc is not None:
             complement = complement or bool(getattr(desc, "complement", False))
             replace = bool(getattr(desc, "replace", False))
+        for axis, value, allowed in (
+            ("gather_mode", gather_mode, ("fine", "bulk", "agg")),
+            ("scatter_mode", scatter_mode, ("fine", "bulk", "agg")),
+            ("sort", sort, ("merge", "radix")),
+        ):
+            if value not in ("auto",) + allowed:
+                raise ValueError(f"unknown {axis} {value!r}")
         # plan-cache key: matrix identity + grid shape + per-block frontier
         # nnz buckets (the gather estimate is per-locale) + the aggregation
         # descriptor (hashable frozen dataclass — a tuning change is a new key)
@@ -729,184 +737,67 @@ class Dispatcher:
         agg: AggregationConfig = AGG_DEFAULT,
     ) -> dict[str, float]:
         """Estimated end-to-end seconds for every distributed-SpGEMM
-        schedule the machine can run (see ``docs/spgemm.md``):
+        candidate (see ``docs/spgemm.md``): ``gathered``, then
+        ``2d[bulk]``/``2d[agg]`` and ``3d[c=N][bulk]``/``3d[c=N][agg]`` for
+        every replication factor ``N`` on a square grid.
 
-        * ``2d[bulk]`` / ``2d[agg]`` — the ``q``-stage sparse SUMMA with
-          plain or flush-pipelined broadcasts;
-        * ``3d[c=N][bulk]`` / ``3d[c=N][agg]`` — the communication-avoiding
-          replicated schedule for every valid factor ``N = k²``, ``k | q``:
-          replicate → ``⌈(q/k)/N⌉`` coarse slots → layer reduce-scatter;
-        * ``gathered`` — allgather both operands, one shared-memory
-          multiply (compute **not** divided by ``p``), redistribute.  On a
-          non-square grid it is the *only* candidate.
-
-        Unlike the SpMSpV estimates these include the compute terms —
-        ``gathered`` trades all communication structure for serial flops,
-        so comparing communication alone would be meaningless.  Mean-field
-        statistics throughout: average block populations, the collision
-        model for product sizes, and (with a fused mask) the mask's
-        position density scaling every merge/reduce volume.
+        Each estimate is the kernel's own bill
+        (:class:`~repro.ops.mxm_dist.SummaSchedule`,
+        :func:`~repro.ops.matrix_dist.gathered_bill`), fault-free and
+        unmetered, over the statistics :meth:`_mxm_dist_stats` predicts;
+        a schedule's compute terms are shared by both transports.
         """
-        machine = self.machine
-        cfg = machine.config
-        grid = a.grid
-        p = max(grid.size, 1)
-        local = machine.oversubscribed
-        threads = machine.threads_per_locale
-        pen = machine.compute_penalty
-        itemsize = 16
-        ec = cfg.element_cost
+        gathered, summa = self._mxm_dist_stats(a, b, mask=mask, fused=fused)
+        est = {"gathered": gathered_bill(self.machine, *gathered).total}
+        if summa is not None:
+            for c in (1, *replication_factors(a.grid.rows)):
+                schedule = SummaSchedule(self.machine, summa, c)
+                name = "2d" if c == 1 else f"3d[c={c}]"
+                for mode in ("bulk", "agg"):
+                    est[f"{name}[{mode}]"] = schedule.bill(mode, agg).total
+        return est
 
-        flops_total = a.nnz * (b.nnz / max(b.nrows, 1))
-        # fused structural mask: a stage product entry survives the prune
-        # with probability ≈ the mask's position density
+    def _mxm_dist_stats(
+        self, a: DistSparseMatrix, b: DistSparseMatrix, *, mask, fused: bool
+    ) -> tuple[tuple, SummaStats | None]:
+        """The statistics the SpGEMM bills read, predicted from the
+        operands: ``gathered``'s ``(a_nnz, b_nnz, flops, out_nnz)`` and, on
+        a square grid, the SUMMA :class:`SummaStats` (else ``None``).
+
+        Block nnz and per-stage ``flops`` are exact; each stage product's
+        size comes from the collision model over its output block, scaled
+        by a fused mask's density, and the post filter's scan from the same
+        model over the block's total flops.
+        """
+        # fused structural mask: a product entry survives the prune with
+        # probability ≈ the mask's position density
         mask_frac = 1.0
         if mask is not None and fused:
             mask_frac = min(mask.nnz / max(a.nrows * b.ncols, 1), 1.0)
-
-        # gathered: collect A and B, multiply once (serial in p — the
-        # whole point of pricing compute), scatter the product
+        a_nnz = [blk.nnz for blk in a.blocks]
+        b_nnz = [blk.nnz for blk in b.blocks]
+        total_a, total_b = sum(a_nnz), sum(b_nnz)
+        flops_total = total_a * (total_b / max(b.nrows, 1))
         rows = max(a.nrows, 1)
-        out_frac = mask_frac if mask is not None else 1.0
-        out_total = rows * _expected_out_nnz(
-            max(b.ncols, 1), flops_total / rows
-        ) * out_frac
-
-        def gather_cost(nnz: float) -> float:
-            return p * bulk(cfg, (nnz / p) * itemsize, local=local)
-
-        est: dict[str, float] = {
-            "gathered": gather_cost(a.nnz + b.nnz)
-            + gather_cost(out_total)
-            + parallel_time(cfg, flops_total * ec * pen, threads)
-        }
-        if grid.rows != grid.cols:
-            return est
-
-        # shared per-fine-stage statistics of the square-grid schedules
-        q = grid.rows
-        avg_a = a.nnz / p
-        avg_b = b.nnz / p
-        m_block = max((a.nrows / q) * (b.ncols / q), 1.0)
-
-        # skew-aware compute: the *exact* per-fine-stage flops tensor
-        # (q³ ≤ 512 block pairs, each an O(block-nnz) histogram lookup —
-        # far cheaper than a stage).  A stage's billed multiply is the
-        # *max* over its concurrent locales, which on skewed (R-MAT-like)
-        # inputs is a multiple of the mean; worse, heavy columns of A hit
-        # heavy rows of B (degree correlation), so even max-of-averages is
-        # several-fold low.  The 3-D schedules concentrate a whole coarse
-        # cell's flops on one locale, so mean-field statistics
-        # systematically underprice them exactly where replication looks
-        # most attractive.
-        from .mxm import flops as _flops
-
-        fine_flops = np.array(
-            [
-                [[_flops(a.block(i, s), b.block(s, j)) for j in range(q)]
-                 for s in range(q)]
-                for i in range(q)
-            ],
-            dtype=float,
-        )  # [i, s, j]
-        flops_total = float(fine_flops.sum())
-        flops_fine = flops_total / (q * p)
-        prod_fine = _expected_out_nnz(int(m_block), flops_fine) * mask_frac
-
-        def stage_mult(s: int) -> float:
-            return parallel_time(
-                cfg, float(fine_flops[:, s, :].max()) * ec * pen, threads
-            )
-
-        def stage_merge(s: int) -> float:
-            prod = _expected_out_nnz(
-                int(m_block), float(fine_flops[:, s, :].max())
-            ) * mask_frac
-            return parallel_time(cfg, prod * ec * pen, threads)
-
-        mult_2d = sum(stage_mult(s) for s in range(q))
-        merge_2d = sum(stage_merge(s) for s in range(q))
-        compute_fine = (mult_2d + merge_2d) / q  # mean stage, for overlap
-
-        def agg_pipeline(per_stage_comm, stages, stage_compute, elems):
-            """Flush-batched broadcasts: stage 0 exposed, the rest overlap
-            behind the previous stage's multiply when enabled."""
-            if stages <= 0:
-                return 0.0
-            exposed = per_stage_comm
-            if agg.overlap:
-                exposed = overlap_exposed(
-                    per_stage_comm,
-                    stage_compute,
-                    flush_startup(cfg, int(elems), agg=agg, local=local),
-                )
-            return per_stage_comm + (stages - 1) * exposed
-
-        est["2d[bulk]"] = (
-            q
-            * (
-                bulk(cfg, avg_a * itemsize, local=local)
-                + bulk(cfg, avg_b * itemsize, local=local)
-            )
-            + mult_2d
-            + merge_2d
-        )
-        stage_comm = flush_cost(cfg, int(avg_a), agg=agg, local=local) + flush_cost(
-            cfg, int(avg_b), agg=agg, local=local
-        )
-        est["2d[agg]"] = (
-            agg_pipeline(stage_comm, q, compute_fine, avg_a + avg_b)
-            + mult_2d
-            + merge_2d
-        )
-
-        for c in replication_factors(q):
-            k = math.isqrt(c)
-            q2 = q // k
-            slots = max(-(-q2 // c), 1)
-            # assemble the layer's coarse-cell copy: everything in the k×k
-            # region but the locale's own fine block, for both operands
-            repl = bulk(
-                cfg, (c - 1) * (avg_a + avg_b) * itemsize, local=local
-            )
-            coarse_a, coarse_b = c * avg_a, c * avg_b
-            # a coarse stage covers k fine stages on k² fine cells, all on
-            # one locale — billed at the heaviest coarse-cell stage work
-            cell_flops = fine_flops.reshape(q2, k, q2, k, q2, k).sum(
-                axis=(1, 3, 5)
-            )  # [I, R, J]
-            w_max = float(cell_flops.max())
-            mult_slot = parallel_time(cfg, w_max * ec * pen, threads)
-            prod_slot = _expected_out_nnz(int(k * k * m_block), w_max) * mask_frac
-            merge_slot = parallel_time(cfg, prod_slot * ec * pen, threads)
-            compute = slots * (mult_slot + merge_slot)
-            red_elems = (c - 1) * slots * (k ** 3) * prod_fine
-            fold = parallel_time(cfg, red_elems * ec * pen, threads)
-            comm_bulk = slots * (
-                bulk(cfg, coarse_a * itemsize, local=local)
-                + bulk(cfg, coarse_b * itemsize, local=local)
-            ) + bulk(cfg, red_elems * itemsize, local=local)
-            est[f"3d[c={c}][bulk]"] = repl + comm_bulk + compute + fold
-            slot_comm = flush_cost(
-                cfg, int(coarse_a), agg=agg, local=local
-            ) + flush_cost(cfg, int(coarse_b), agg=agg, local=local)
-            red_comm = flush_cost(cfg, int(red_elems), agg=agg, local=local)
-            if agg.overlap and red_comm > 0.0:
-                red_comm = overlap_exposed(
-                    red_comm,
-                    mult_slot + merge_slot,
-                    flush_startup(cfg, int(red_elems), agg=agg, local=local),
-                )
-            est[f"3d[c={c}][agg]"] = (
-                repl
-                + agg_pipeline(
-                    slot_comm, slots, mult_slot + merge_slot, coarse_a + coarse_b
-                )
-                + compute
-                + red_comm
-                + fold
-            )
-        return est
+        out_total = rows * _expected_out_nnz(max(b.ncols, 1), flops_total / rows) * mask_frac
+        gathered = (total_a, total_b, flops_total, out_total)
+        q = a.grid.rows
+        if q != a.grid.cols:
+            return gathered, None
+        # output block (i, j) spans A's row block i and B's column block j
+        cells = [a.blocks[i * q].nrows * b.blocks[j].ncols for i in range(q) for j in range(q)]
+        fl = stage_flops(a, b)
+        prod = [
+            _expected_out_nnz(m, f) * mask_frac
+            for row in fl.tolist()
+            for m, f in zip(cells, row)
+        ]
+        unfiltered = None
+        if mask is not None and not fused:
+            unfiltered = [
+                _expected_out_nnz(m, f) for m, f in zip(cells, fl.sum(axis=0).tolist())
+            ]
+        return gathered, SummaStats(a_nnz, b_nnz, fl.ravel().tolist(), prod, unfiltered)
 
     def mxm_dist(
         self,
@@ -1011,35 +902,16 @@ class Dispatcher:
             chosen = min(pool, key=est.__getitem__)
         self._decide("mxm_dist", chosen, est, forced=forced)
         if chosen == "gathered":
-            from .matrix_dist import mxm_gathered
-
             c, bd = mxm_gathered(
-                a,
-                b,
-                self.machine,
-                semiring=semiring,
-                mask=mask,
-                complement=complement,
+                a, b, self.machine, semiring=semiring, mask=mask, complement=complement
             )
         else:
-            if chosen.startswith("3d["):
-                c_part, mode = chosen[3:-1].split("][")
-                run_variant, run_layers = "3d", int(c_part[2:])
-            else:
-                mode = chosen[3:-1]
-                run_variant, run_layers = "2d", 1
+            schedule, mode = chosen[:-1].rsplit("[", 1)  # "3d[c=4]", "agg"
             c, bd = _mxm_dist(
-                a,
-                b,
-                self.machine,
-                semiring=semiring,
-                comm_mode=mode,
-                mask=mask,
-                complement=complement,
-                mask_mode=mask_mode,
-                variant=run_variant,
-                layers=run_layers,
-                agg=agg,
+                a, b, self.machine,
+                semiring=semiring, comm_mode=mode, mask=mask, complement=complement,
+                mask_mode=mask_mode, variant=schedule[:2],
+                layers=1 if schedule == "2d" else int(schedule[5:-1]), agg=agg,
             )
         if accum is None and out is None and not replace:
             return c, bd

@@ -199,18 +199,28 @@ def mxm_gathered(
     Gustavson kernel, redistributes the product — and charges the whole
     round trip (the honest price of an mxm on a non-square grid).
     """
-    cfg = machine.config
     ga = a.gather(faults=machine.faults)
     gb = b.gather(faults=machine.faults)
     gm = None if mask is None else mask.gather(faults=machine.faults)
     c = mxm(ga, gb, semiring=semiring, mask=gm, complement=complement)
-    comm = _gather_cost(machine, a.nnz + b.nnz) + _gather_cost(machine, c.nnz)
     flops_est = ga.nnz * (gb.nnz / max(gb.nrows, 1))
+    bd = gathered_bill(machine, ga.nnz, gb.nnz, flops_est, c.nnz)
+    cd = DistSparseMatrix.from_global(c, a.grid)
+    return cd, machine.record("mxm_dist[gathered]", bd)
+
+
+def gathered_bill(
+    machine: Machine, a_nnz: int, b_nnz: int, flops: float, out_nnz: float
+) -> Breakdown:
+    """The bill of :func:`mxm_gathered` — and the dispatcher's
+    ``gathered`` estimate — over its statistics: allgather both operands
+    (``a_nnz + b_nnz`` entries), one shared-memory multiply of ``flops``
+    (**not** divided by ``p``), redistribute ``out_nnz`` product entries."""
+    cfg = machine.config
+    comm = _gather_cost(machine, a_nnz + b_nnz) + _gather_cost(machine, out_nnz)
     compute = parallel_time(
         cfg,
-        flops_est * cfg.element_cost * machine.compute_penalty,
+        flops * cfg.element_cost * machine.compute_penalty,
         machine.threads_per_locale,
     )
-    cd = DistSparseMatrix.from_global(c, a.grid)
-    bd = Breakdown({"Gather": comm, "multiply": compute})
-    return cd, machine.record("mxm_dist[gathered]", bd)
+    return Breakdown({"Gather": comm, "multiply": compute})

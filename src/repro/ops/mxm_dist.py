@@ -40,11 +40,21 @@ Three orthogonal extensions (see ``docs/spgemm.md``):
   canonical fine-stage fold (same code as 2-D), so every variant is
   bit-identical and the dispatcher may choose freely on price alone;
   only the communication/compute *schedule billed* changes.
+
+One fold, one bill: :func:`_fold` computes the product blocks and
+measures the per-(stage, locale) :class:`SummaStats`;
+:class:`SummaSchedule` charges any schedule over such statistics.  The
+kernel bills the measured statistics (metered, under the machine's fault
+plan); :meth:`~repro.ops.dispatch.Dispatcher.estimate_mxm_dist` bills
+predicted ones (pure), so the estimate and the ledger cannot drift apart.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
+from functools import lru_cache
+from operator import itemgetter
 
 import numpy as np
 
@@ -60,13 +70,14 @@ from ..runtime.aggregation import (
 )
 from ..runtime import spmd
 from ..runtime.clock import Breakdown
-from ..runtime.comm import bulk_ft
+from ..runtime.comm import bulk, bulk_ft
 from ..runtime.faults import RETRY_STEP
 from ..runtime.locale import Machine
 from ..runtime.tasks import coforall_spawn, local_time_ft, parallel_time
 from ..sparse.csr import CSRMatrix
+from ..sparse.dcsr import DCSRMatrix
 from .ewise import ewiseadd_mm
-from .mxm import flops, mxm
+from .mxm import mxm
 
 __all__ = ["mxm_dist", "replication_factors"]
 
@@ -166,22 +177,16 @@ def mxm_dist(
     _validate(a, b, mask, comm_mode, mask_mode, variant, layers)
     if machine.faults is not None:
         machine.faults.check_grid(a.grid, "mxm_dist")
-    if variant == "3d":
-        return _mxm_dist_3d(
-            a, b, machine,
-            semiring=semiring, comm_mode=comm_mode, mask=mask,
-            complement=complement, mask_mode=mask_mode, layers=layers, agg=agg,
-        )
-    return _mxm_dist_2d(
-        a, b, machine,
-        semiring=semiring, comm_mode=comm_mode, mask=mask,
-        complement=complement, mask_mode=mask_mode, agg=agg,
-    )
+    blocks, stats = _fold(a, b, semiring, mask, complement, mask_mode)
+    c = int(layers) if variant == "3d" else 1
+    bill = SummaSchedule(machine, stats, c, run=True).bill(comm_mode, agg)
+    out = DistSparseMatrix(a.nrows, b.ncols, a.grid, blocks)
+    return out, machine.record("mxm_dist" if c == 1 else "mxm_dist[3d]", bill)
 
 
 def _stage_products(a, b, s, grid, semiring, mask, complement, fused):
     """Every locale's stage-``s`` local product (SPMD-aware, fused-mask
-    optional) — the shared value plane of the 2-D and 3-D schedules."""
+    optional)."""
     mask_blks = (
         [mask.blocks[loc.id] for loc in grid] if (fused and mask is not None)
         else [None] * grid.size
@@ -212,366 +217,343 @@ def _stage_products(a, b, s, grid, semiring, mask, complement, fused):
     ]
 
 
-def _post_filter(blocks, mask, complement, machine):
-    """The unfused output filter: mask every accumulated block after the
-    last stage, charging the filter pass on the *pre-filter* population."""
+@dataclass(frozen=True)
+class SummaStats:
+    """The sparsity statistics a SUMMA bill reads, as flat row-major lists
+    over the ``q×q`` grid (``p = q²`` locales, locale ``(i, j)`` is
+    ``i·q + j``).  The kernel's fold measures them; the dispatcher
+    predicts them (``docs/dispatch.md`` says which are exact).
+    """
+
+    a_nnz: list
+    """``q×q``: stored entries of A's block ``(i, s)`` at ``i·q + s``."""
+    b_nnz: list
+    """``q×q``: stored entries of B's block ``(s, j)`` at ``s·q + j``."""
+    flops: list
+    """``q×p``: multiplies of stage ``s`` on locale ``l`` at ``s·p + l``."""
+    prod: list
+    """``q×p``: entries of each stage product merged into the accumulator
+    (after the fused mask's prune), indexed as ``flops``."""
+    unfiltered: list | None = None
+    """``p``: accumulated entries of each block the ``mask_mode="post"``
+    filter scans; ``None`` when there is no post filter."""
+
+
+def stage_flops(a: DistSparseMatrix, b: DistSparseMatrix) -> np.ndarray:
+    """``(q, p)`` multiplies of every SUMMA stage on every locale: stage
+    ``s`` on locale ``(i, j)`` performs :func:`~repro.ops.mxm.flops` of
+    ``A(i, s)·B(s, j)`` — the summed lengths of the B rows that A's
+    nonzeros select.  Exact, and far cheaper than a stage."""
+    q = a.grid.rows
+    out = np.zeros((q, q, q))  # [s, i, j]
+    for s in range(q):
+        lengths = [_row_lengths(b.block(s, j)) for j in range(q)]
+        for i in range(q):
+            cols = a.block(i, s).colidx
+            if cols.size:
+                out[s, i] = [rows.take(cols).sum() for rows in lengths]
+    return out.reshape(q, q * q)
+
+
+def _row_lengths(blk) -> np.ndarray:
+    """Stored entries of every row of a CSR or DCSR block."""
+    if isinstance(blk, DCSRMatrix):
+        return blk.row_lengths(np.arange(blk.nrows))
+    return blk.rowptr[1:] - blk.rowptr[:-1]
+
+
+def _fold(a, b, semiring, mask, complement, mask_mode):
+    """The canonical fine-stage fold — the value plane of every SUMMA
+    schedule — and the statistics it measured on the way.
+
+    Every locale accumulates its ``q`` stage products in stage order with
+    the semiring's add; which schedule is billed never touches the values,
+    so the 2-D and 3-D variants are bit-identical by construction.
+    """
     from .mask import mask_matrix
 
-    cfg = machine.config
-    pen = machine.compute_penalty
-    threads = machine.threads_per_locale
-    filt: list[Breakdown] = []
-    for k, blk in enumerate(blocks):
-        blocks[k] = mask_matrix(blk, mask.blocks[k], complement=complement)
-        filt.append(
-            Breakdown(
-                {
-                    "merge": parallel_time(
-                        cfg, blk.nnz * cfg.element_cost * pen, threads
-                    )
-                }
-            )
-        )
-    return Breakdown.parallel(filt)
-
-
-def _mxm_dist_2d(
-    a, b, machine, *, semiring, comm_mode, mask, complement, mask_mode, agg
-):
-    """The 2-D sparse SUMMA: ``q`` stages of row/column broadcasts."""
     grid = a.grid
     q = grid.rows
-    cfg = machine.config
-    threads = machine.threads_per_locale
-    pen = machine.compute_penalty
-    faults = machine.faults
     fused = mask is not None and mask_mode == "fused"
-
-    spawn = coforall_spawn(cfg, machine.num_locales, machine.locales_per_node)
-    total = Breakdown({"broadcast": spawn})
     acc: list[CSRMatrix | None] = [None] * grid.size
-    # each locale's previous-stage compute time: what stage s's aggregated
-    # broadcasts can hide behind (zeros at stage 0 — the pipeline fill)
-    prev_compute = [0.0] * grid.size
+    stage_prod = []
     for s in range(q):
-        stage_cast: list[Breakdown] = []
-        stage_mult: list[Breakdown] = []
-        next_compute = [0.0] * grid.size
         # opt-in SPMD pool: the stage's local multiplies are independent
         # pure functions of (A(i,s), B(s,j)[, M(i,j)]) — shipped before the
         # locale loop; blocks travel as handles (once per worker for the
         # whole SUMMA, since A/B blocks recur across stages).
         products = _stage_products(a, b, s, grid, semiring, mask, complement, fused)
         for loc in grid:
-            i, j = loc.row, loc.col
-            a_blk = a.block(i, s)
-            b_blk = b.block(s, j)
-
-            # broadcast costs: each block travels to q-1 peers (tree), paid
-            # by every receiving locale as one transfer per operand — bulk,
-            # or flush-batched through the aggregation buffers; under fault
-            # injection each receive is a retriable (batched) transfer
-            def _recv(nnz: int, site: str, src: int) -> tuple[float, float]:
-                if comm_mode == "agg":
-                    if nnz <= 0:
-                        return 0.0, 0.0
-                    cost = flush_cost(
-                        cfg, nnz, agg=agg, local=machine.oversubscribed
-                    )
-                    if faults is not None:
-                        batches = num_flushes(nnz, agg.flush_elems)
-                        return faults.batched_transfer(
-                            site, batches, cost / batches, src=src, dst=loc.id
-                        )
-                    return cost, 0.0
-                return bulk_ft(
-                    cfg,
-                    nnz * _ITEMSIZE,
-                    faults=faults,
-                    site=site,
-                    src=src,
-                    dst=loc.id,
-                    local=machine.oversubscribed,
-                )
-
-            cast = 0.0
-            retry = 0.0
-            recv_elems = 0
-            if s != j:  # A(i, s) arrives from another column
-                base, extra = _recv(
-                    a_blk.nnz, f"mxm_dist.bcastA[{s}->{loc.id}]", grid[(i, s)].id
-                )
-                cast += base
-                retry += extra
-                recv_elems += a_blk.nnz
-            if s != i:  # B(s, j) arrives from another row
-                base, extra = _recv(
-                    b_blk.nnz, f"mxm_dist.bcastB[{s}->{loc.id}]", grid[(s, j)].id
-                )
-                cast += base
-                retry += extra
-                recv_elems += b_blk.nnz
-            if comm_mode == "agg" and agg.overlap and cast > 0.0:
-                cast = overlap_exposed(
-                    cast,
-                    prev_compute[loc.id],
-                    flush_startup(
-                        cfg, recv_elems, agg=agg, local=machine.oversubscribed
-                    ),
-                )
-            cast_b = Breakdown({"broadcast": cast})
-            if faults is not None:
-                cast_b = cast_b + Breakdown({RETRY_STEP: retry})
-            stage_cast.append(cast_b)
-            # local multiply + merge into the accumulator; with a fused
-            # mask the product is already pruned, so the merge bill scales
-            # with the masked output (the multiply still pays full flops —
-            # the ESC expansion computes every partial product either way)
-            c_blk = products[loc.id]
-            work = flops(a_blk, b_blk) * cfg.element_cost * pen
-            slow = local_time_ft(1.0, faults=faults, locale=loc.id, site="mxm_dist")
-            mult_t = parallel_time(cfg, work, threads) * slow
-            merge_t = (
-                parallel_time(cfg, c_blk.nnz * cfg.element_cost * pen, threads)
-                * slow
-            )
-            next_compute[loc.id] = mult_t + merge_t
-            stage_mult.append(Breakdown({"multiply": mult_t, "merge": merge_t}))
             k = loc.id
+            c_blk = products[k]
+            stage_prod.append(c_blk.nnz)
             acc[k] = c_blk if acc[k] is None else ewiseadd_mm(acc[k], c_blk, semiring.add)
-        prev_compute = next_compute
-        total = total + Breakdown.parallel(stage_cast) + Breakdown.parallel(stage_mult)
-
     # every cell received a product in stage 0, so acc is fully populated
     blocks = [blk for blk in acc if blk is not None]
     assert len(blocks) == grid.size
+    unfiltered = None
     if mask is not None and not fused:
-        total = total + _post_filter(blocks, mask, complement, machine)
-    c = DistSparseMatrix(a.nrows, b.ncols, grid, blocks)
-    return c, machine.record("mxm_dist", total)
+        unfiltered = [blk.nnz for blk in blocks]
+        blocks = [
+            mask_matrix(blk, m, complement=complement)
+            for blk, m in zip(blocks, mask.blocks)
+        ]
+    stats = SummaStats(
+        a_nnz=[blk.nnz for blk in a.blocks],
+        b_nnz=[blk.nnz for blk in b.blocks],
+        flops=stage_flops(a, b).ravel().tolist(),
+        prod=stage_prod,
+        unfiltered=unfiltered,
+    )
+    return blocks, stats
 
 
-def _mxm_dist_3d(
-    a, b, machine, *, semiring, comm_mode, mask, complement, mask_mode, layers, agg
-):
-    """The 2.5D/3D schedule on a fixed machine: ``c`` layers of coarse
-    ``(q/k)×(q/k)`` grids (``c = k²``), coarse stages split across layers,
-    final reduce-scatter over layers.
+def _coarsen(flat: list, q: int, ndim: int, k: int) -> list:
+    """Sum a flattened ``q^ndim`` array over consecutive groups of ``k``
+    along every axis, flattened again (exact on the integer-valued
+    measured statistics)."""
+    if k == 1:
+        return flat
+    return [sum(group(flat)) for group in _coarse_groups(q, ndim, k)]
 
-    Physical locale ``(i, j)`` plays layer ``l = (i mod k)·k + (j mod k)``
-    of coarse cell ``(i//k, j//k)`` — so the ``c`` replicas of one coarse
-    cell are exactly the ``k×k`` fine locales underneath it, and the
-    closing reduce-scatter lands each locale back on (a chunk of) its own
-    fine block.  Coarse block statistics are exact sums of the fine-block
-    statistics; coarse product sizes use the sum of the fine stage
-    products (a deterministic upper bound — unions can only dedupe).
 
-    The value plane below is the canonical fine-stage fold — *identical
-    code* to the 2-D path — so the result is bit-identical to every other
-    variant; this function only bills the 3-D schedule.
+@lru_cache(maxsize=None)
+def _coarse_groups(q: int, ndim: int, k: int) -> tuple:
+    """Per coarse entry, a getter of the ``k^ndim`` fine entries it sums."""
+    idx = np.arange(q**ndim).reshape([d for _ in range(ndim) for d in (q // k, k)])
+    idx = idx.transpose(list(range(0, 2 * ndim, 2)) + list(range(1, 2 * ndim, 2)))
+    return tuple(itemgetter(*g) for g in idx.reshape((q // k) ** ndim, k**ndim).tolist())
+
+
+@lru_cache(maxsize=None)
+def _layout(q: int, c: int) -> tuple[tuple, tuple]:
+    """Who does what in the ``c``-layer schedule on a ``q×q`` grid.
+
+    Locale ``(i, j)`` plays layer ``l = (i mod k)·k + (j mod k)`` of
+    coarse cell ``(I, J) = (i//k, j//k)`` of the ``q2 = q/k`` coarse grid
+    and, in slot ``t``, works on coarse stage ``s2 = l·slots + t`` when
+    that is below ``min((l+1)·slots, q2)`` (``slots = ⌈q2/c⌉``; layers
+    past ``q2`` sit idle).  Returns, per slot, the working locales as
+    ``(locale, stage, work, A block, A source, B block, B source)`` —
+    ``work`` indexes the coarse ``flops``/``prod``, the blocks index the
+    coarse ``a_nnz``/``b_nnz`` and are ``-1`` when the operand is the
+    locale's own — and every locale's coarse cell ``I·q2 + J``.
     """
-    grid = a.grid
-    q = grid.rows
-    c = int(layers)
     k = math.isqrt(c)
     q2 = q // k
-    cfg = machine.config
-    threads = machine.threads_per_locale
-    pen = machine.compute_penalty
-    faults = machine.faults
-    local = machine.oversubscribed
-    fused = mask is not None and mask_mode == "fused"
-
-    # ---- value plane: canonical fine-stage fold (as in 2-D) + fine stats
-    acc: list[CSRMatrix | None] = [None] * grid.size
-    fine_flops = np.zeros((q, grid.size))
-    fine_prod = np.zeros((q, grid.size))
-    for s in range(q):
-        products = _stage_products(a, b, s, grid, semiring, mask, complement, fused)
-        for loc in grid:
-            c_blk = products[loc.id]
-            fine_flops[s, loc.id] = flops(a.block(loc.row, s), b.block(s, loc.col))
-            fine_prod[s, loc.id] = c_blk.nnz
-            kk = loc.id
-            acc[kk] = (
-                c_blk if acc[kk] is None else ewiseadd_mm(acc[kk], c_blk, semiring.add)
-            )
-    blocks = [blk for blk in acc if blk is not None]
-    assert len(blocks) == grid.size
-    post_bill = None
-    if mask is not None and not fused:
-        post_bill = _post_filter(blocks, mask, complement, machine)
-
-    # ---- cost plane: coarse aggregates ------------------------------------
-    def coarse_a_nnz(I: int, s2: int) -> int:
-        return sum(
-            a.block(i, u).nnz
-            for i in range(I * k, (I + 1) * k)
-            for u in range(s2 * k, (s2 + 1) * k)
-        )
-
-    def coarse_b_nnz(s2: int, J: int) -> int:
-        return sum(
-            b.block(u, j).nnz
-            for u in range(s2 * k, (s2 + 1) * k)
-            for j in range(J * k, (J + 1) * k)
-        )
-
-    def coarse_stats(I: int, J: int, s2: int) -> tuple[float, float]:
-        """(flops, product-nnz) of coarse product (I,s2)×(s2,J) — exact
-        sums of the fine stage stats over the k×k cells and k stages."""
-        fl = pr = 0.0
-        for i in range(I * k, (I + 1) * k):
-            for j in range(J * k, (J + 1) * k):
-                kid = i * q + j
-                for u in range(s2 * k, (s2 + 1) * k):
-                    fl += fine_flops[u, kid]
-                    pr += fine_prod[u, kid]
-        return fl, pr
-
-    slots = max(-(-q2 // c), 1)  # ceil(q2 / c); layers past q2 sit idle
-
-    def layer_cell(loc) -> tuple[int, int, int]:
-        l = (loc.row % k) * k + (loc.col % k)
-        return l, loc.row // k, loc.col // k
-
-    def _recv(nnz, site, src_id, dst_id, prev):
-        """One coarse broadcast receive: bulk, or flush-batched and
-        overlapped against the previous slot's compute (as in 2-D)."""
-        if comm_mode == "agg":
-            if nnz <= 0:
-                return 0.0, 0.0
-            cost = flush_cost(cfg, nnz, agg=agg, local=local)
-            if faults is not None:
-                batches = num_flushes(nnz, agg.flush_elems)
-                cost, extra = faults.batched_transfer(
-                    site, batches, cost / batches, src=src_id, dst=dst_id
-                )
-            else:
-                extra = 0.0
-            if agg.overlap and cost > 0.0:
-                cost = overlap_exposed(
-                    cost, prev, flush_startup(cfg, nnz, agg=agg, local=local)
-                )
-            return cost, extra
-        return bulk_ft(
-            cfg, nnz * _ITEMSIZE, faults=faults, site=site,
-            src=src_id, dst=dst_id, local=local,
-        )
-
-    spawn = coforall_spawn(cfg, machine.num_locales, machine.locales_per_node)
-    total = Breakdown({"broadcast": spawn})
-
-    # replication: each locale assembles its layer's copy of its coarse
-    # A/B cell — everything in the k×k region except its own fine share
-    repl: list[Breakdown] = []
-    for loc in grid:
-        _, I, J = layer_cell(loc)
-        vol = (
-            coarse_a_nnz(I, J) - a.block(loc.row, loc.col).nnz
-            + coarse_b_nnz(I, J) - b.block(loc.row, loc.col).nnz
-        )
-        base, retry = bulk_ft(
-            cfg, max(vol, 0) * _ITEMSIZE, faults=faults,
-            site=f"mxm_dist3d.repl[{loc.id}]", src=loc.id, dst=loc.id, local=local,
-        )
-        bd = Breakdown({"replicate": base})
-        if faults is not None:
-            bd = bd + Breakdown({RETRY_STEP: retry})
-        repl.append(bd)
-    total = total + Breakdown.parallel(repl)
-
-    # coarse stage slots: layer l runs stages [l·slots, min((l+1)·slots, q2))
-    prev_compute = [0.0] * grid.size
-    partial = np.zeros(grid.size)  # per-locale layer-partial size (elems)
+    slots = max(-(-q2 // c), 1)
+    cell = tuple((i // k) * q2 + j // k for i in range(q) for j in range(q))
+    per_slot = []
     for t in range(slots):
-        slot_cast: list[Breakdown] = []
-        slot_mult: list[Breakdown] = []
-        next_compute = [0.0] * grid.size
-        for loc in grid:
-            l, I, J = layer_cell(loc)
-            s2 = l * slots + t
-            if s2 >= min((l + 1) * slots, q2):
-                continue  # idle layer/slot
-            cast = 0.0
-            retry = 0.0
-            if s2 != J:
-                base, extra = _recv(
-                    coarse_a_nnz(I, s2), f"mxm_dist3d.bcastA[{s2}->{loc.id}]",
-                    grid[(I * k + loc.row % k, s2 * k + loc.col % k)].id, loc.id,
-                    prev_compute[loc.id],
-                )
-                cast += base
-                retry += extra
-            if s2 != I:
-                base, extra = _recv(
-                    coarse_b_nnz(s2, J), f"mxm_dist3d.bcastB[{s2}->{loc.id}]",
-                    grid[(s2 * k + loc.row % k, J * k + loc.col % k)].id, loc.id,
-                    prev_compute[loc.id],
-                )
-                cast += base
-                retry += extra
-            cast_b = Breakdown({"broadcast": cast})
-            if faults is not None:
-                cast_b = cast_b + Breakdown({RETRY_STEP: retry})
-            slot_cast.append(cast_b)
-            fl, pr = coarse_stats(I, J, s2)
-            slow = local_time_ft(
-                1.0, faults=faults, locale=loc.id, site="mxm_dist3d"
-            )
-            mult_t = parallel_time(cfg, fl * cfg.element_cost * pen, threads) * slow
-            merge_t = parallel_time(cfg, pr * cfg.element_cost * pen, threads) * slow
-            next_compute[loc.id] = mult_t + merge_t
-            partial[loc.id] += pr
-            slot_mult.append(Breakdown({"multiply": mult_t, "merge": merge_t}))
-        prev_compute = next_compute
-        total = total + Breakdown.parallel(slot_cast) + Breakdown.parallel(slot_mult)
+        cells = []
+        for loc in range(q * q):
+            (big_i, di), (big_j, dj) = divmod(loc // q, k), divmod(loc % q, k)
+            layer = di * k + dj
+            s2 = layer * slots + t
+            if s2 >= min((layer + 1) * slots, q2):
+                continue
+            # A's coarse block (I, s2) arrives along the row, B's (s2, J)
+            # along the column, each from the replica in the same layer
+            a_blk = src_a = b_blk = src_b = -1
+            if s2 != big_j:
+                a_blk, src_a = big_i * q2 + s2, (big_i * k + di) * q + s2 * k + dj
+            if s2 != big_i:
+                b_blk, src_b = s2 * q2 + big_j, (s2 * k + di) * q + big_j * k + dj
+            work = (s2 * q2 + big_i) * q2 + big_j
+            cells.append((loc, s2, work, a_blk, src_a, b_blk, src_b))
+        per_slot.append(tuple(cells))
+    return tuple(per_slot), cell
 
-    # reduce-scatter over the c layers of each coarse cell: every locale
-    # receives (c-1)/c of the cell's summed layer partials and folds them
-    # (fused masking shrank `partial`, so it shrinks this volume too)
-    red: list[Breakdown] = []
-    for loc in grid:
-        l, I, J = layer_cell(loc)
-        cell_total = sum(
-            partial[(I * k + di) * q + (J * k + dj)]
-            for di in range(k)
-            for dj in range(k)
-        )
-        elems = int(round(cell_total * (c - 1) / c))
-        if comm_mode == "agg":
-            if elems > 0:
-                comm = flush_cost(cfg, elems, agg=agg, local=local)
+
+class SummaSchedule:
+    """The bill of one SUMMA schedule over :class:`SummaStats`.
+
+    ``layers=1`` is the 2-D schedule: ``q`` stages in which every locale
+    receives ``A(i, s)`` along its row and ``B(s, j)`` along its column
+    and multiplies them.  ``layers=c=k²`` is the 2.5D/3D schedule on the
+    same ``p`` locales (see :func:`_layout`): the ``c`` replicas of a
+    coarse cell are the ``k×k`` fine locales under it, each layer runs
+    ``⌈(q/k)/c⌉`` coarse stage slots, a replication phase assembles each
+    locale's copy of its coarse A/B cell first, and a reduce-scatter over
+    the layers folds the partial products last.  Coarse statistics are
+    exact sums of the fine ones; a coarse product's size is the sum of its
+    fine stage products (an upper bound — unions can only dedupe).  The
+    2-D schedule is the 3-D one with one layer and neither phase.
+
+    Construction charges everything the transport does not change — the
+    local compute, the always-bulk replication, the layer fold and the
+    post filter — so one schedule prices both transports; :meth:`bill`
+    adds the broadcasts and the reduce-scatter over ``"bulk"`` or
+    ``"agg"``.  With ``run=True`` it is the executing kernel's bill:
+    straggler factors stretch the local compute, each locale's compute
+    seconds go to ``tasks.compute.seconds``, and blocks move through the
+    metered transports under the machine's fault plan (construct, then
+    bill once).  Otherwise it is pure — fault-free and unmetered: the
+    dispatcher's estimate.
+    """
+
+    def __init__(
+        self, machine: Machine, stats: SummaStats, layers: int = 1, *, run: bool = False
+    ) -> None:
+        cfg = machine.config
+        ec = cfg.element_cost
+        pen = machine.compute_penalty
+        threads = machine.threads_per_locale
+        q = math.isqrt(len(stats.a_nnz))
+        p = q * q
+        c = int(layers)
+        k = math.isqrt(c)
+        q2 = q // k
+        per_slot, cell = _layout(q, c)
+        self.cfg = cfg
+        self.local = machine.oversubscribed
+        self.layers = c
+        self.faults = faults = machine.faults if run else None
+        self._run = run
+        self._site = "mxm_dist" if c == 1 else "mxm_dist3d"
+        self.spawn = coforall_spawn(cfg, machine.num_locales, machine.locales_per_node)
+
+        coarse_a = _coarsen(stats.a_nnz, q, 2, k)  # [I·q2 + s2]
+        coarse_b = _coarsen(stats.b_nnz, q, 2, k)  # [s2·q2 + J]
+        coarse_flops = _coarsen(stats.flops, q, 3, k)  # [(s2·q2 + I)·q2 + J]
+        coarse_prod = _coarsen(stats.prod, q, 3, k)
+
+        def seconds(entries):  # one locale streaming ``entries`` through its threads
+            return parallel_time(cfg, entries * ec * pen, threads)
+
+        # per slot, every locale a nonempty block reaches: (locale, stage,
+        # A nnz, A source, B nnz, B source, previous compute) — nothing
+        # arriving costs nothing on either transport
+        self.slots: list[list[tuple]] = []
+        self.multiply = merge = 0.0
+        # each locale's previous-slot compute: what slot t's broadcasts can
+        # hide behind (zeros at slot 0 — the pipeline fill)
+        prev = [0.0] * p
+        for cells in per_slot:
+            busy = [0.0] * p
+            recv = []
+            mult_max = merge_max = 0.0
+            for loc, s2, w, a_blk, src_a, b_blk, src_b in cells:
+                mult, mrg = seconds(coarse_flops[w]), seconds(coarse_prod[w])
+                if run:
+                    local_time_ft(mult + mrg, faults=faults, locale=loc, site=self._site)
                 if faults is not None:
-                    batches = num_flushes(elems, agg.flush_elems)
-                    comm, retry = faults.batched_transfer(
-                        f"mxm_dist3d.reduce[{loc.id}]", batches, comm / batches,
-                        src=loc.id, dst=loc.id,
-                    )
-                else:
-                    retry = 0.0
-                if agg.overlap:
-                    comm = overlap_exposed(
-                        comm,
-                        prev_compute[loc.id],
-                        flush_startup(cfg, elems, agg=agg, local=local),
-                    )
-            else:
-                comm, retry = 0.0, 0.0
-        else:
-            comm, retry = bulk_ft(
-                cfg, elems * _ITEMSIZE, faults=faults,
-                site=f"mxm_dist3d.reduce[{loc.id}]", src=loc.id, dst=loc.id,
-                local=local,
-            )
-        fold = parallel_time(cfg, elems * cfg.element_cost * pen, threads)
-        bd = Breakdown({"reduce": comm, "merge": fold})
-        if faults is not None:
-            bd = bd + Breakdown({RETRY_STEP: retry})
-        red.append(bd)
-    total = total + Breakdown.parallel(red)
-    if post_bill is not None:
-        total = total + post_bill
+                    slow = faults.slowdown(loc)
+                    mult, mrg = mult * slow, mrg * slow
+                busy[loc] = mult + mrg
+                mult_max = max(mult_max, mult)
+                merge_max = max(merge_max, mrg)
+                nnz_a = coarse_a[a_blk] if a_blk >= 0 else 0
+                nnz_b = coarse_b[b_blk] if b_blk >= 0 else 0
+                if nnz_a or nnz_b:
+                    recv.append((loc, s2, nnz_a, src_a, nnz_b, src_b, prev[loc]))
+            self.slots.append(recv)
+            self.multiply += mult_max
+            merge += merge_max
+            prev = busy
+        self.last_compute = prev
 
-    c_out = DistSparseMatrix(a.nrows, b.ncols, grid, blocks)
-    return c_out, machine.record("mxm_dist[3d]", total)
+        self.replicate = self.repl_retry = fold = post = 0.0
+        self.reduce: list[int] = []
+        if c > 1:
+            # all coarse stages of a coarse cell's product, over its layers
+            cell_total = [sum(coarse_prod[g::q2 * q2]) for g in range(q2 * q2)]
+            for loc, g in enumerate(cell):
+                # every locale assembles its layer's copy of its coarse A/B
+                # cell: the k×k region but its own fine share (always bulk)
+                vol = coarse_a[g] - stats.a_nnz[loc] + coarse_b[g] - stats.b_nnz[loc]
+                base, extra = self._move("bulk", max(vol, 0), None, loc, loc, "repl", None)
+                self.replicate = max(self.replicate, base)
+                self.repl_retry = max(self.repl_retry, extra)
+                # the reduce-scatter hands it (c-1)/c of its cell's layer
+                # partials to fold
+                elems = int(round(cell_total[g] * (c - 1) / c))
+                self.reduce.append(elems)
+                fold = max(fold, seconds(elems))
+        if stats.unfiltered is not None:
+            # the unfused output filter scans every accumulated block
+            post = max(seconds(n) for n in stats.unfiltered)
+        self.merge = merge + fold + post
+
+    def _move(self, comm_mode, nnz, agg, src, dst, what, stage):
+        """One block of ``nnz`` entries from ``src`` to ``dst``:
+        ``(goodput, retry)`` seconds; an empty block moves for free on
+        every transport.  The fault site ``<kernel>.<what>[<stage>-><dst>]``
+        is only built for a draw."""
+        if nnz <= 0:
+            return 0.0, 0.0
+        cfg, local, faults = self.cfg, self.local, self.faults
+        site = ""
+        if faults is not None:
+            where = dst if stage is None else f"{stage}->{dst}"
+            site = f"{self._site}.{what}[{where}]"
+        if comm_mode == "agg":
+            cost = flush_cost(cfg, nnz, agg=agg, local=local)
+            if faults is None:
+                return cost, 0.0
+            batches = num_flushes(nnz, agg.flush_elems)
+            return faults.batched_transfer(site, batches, cost / batches, src=src, dst=dst)
+        if not self._run:
+            return bulk(cfg, nnz * _ITEMSIZE, local=local), 0.0
+        return bulk_ft(
+            cfg, nnz * _ITEMSIZE, faults=faults, site=site, src=src, dst=dst, local=local
+        )
+
+    def bill(self, comm_mode: str = "bulk", agg: AggregationConfig = AGG_DEFAULT) -> Breakdown:
+        """The schedule's Breakdown over ``comm_mode`` (``"bulk"`` or
+        ``"agg"``): per phase the max over locales, phases summed."""
+        overlap = comm_mode == "agg" and agg.overlap
+        layered = self.layers > 1
+        retries = self.repl_retry
+        broadcast = self.spawn
+        for cells in self.slots:
+            cast_max = retry_max = 0.0
+            for loc, stage, nnz_a, src_a, nnz_b, src_b, prev in cells:
+                cast_a, retry_a = self._move(comm_mode, nnz_a, agg, src_a, loc, "bcastA", stage)
+                cast_b, retry_b = self._move(comm_mode, nnz_b, agg, src_b, loc, "bcastB", stage)
+                if overlap and layered:
+                    # each coarse operand streams behind the previous
+                    # slot's compute as its own pipeline
+                    cast_a = self._exposed(cast_a, prev, nnz_a, agg)
+                    cast_b = self._exposed(cast_b, prev, nnz_b, agg)
+                cast = cast_a + cast_b
+                if overlap and not layered:
+                    # a 2-D stage's broadcasts share one pipeline behind
+                    # the previous stage's compute
+                    cast = self._exposed(cast, prev, nnz_a + nnz_b, agg)
+                cast_max = max(cast_max, cast)
+                retry_max = max(retry_max, retry_a + retry_b)
+            broadcast += cast_max
+            retries += retry_max
+
+        reduce = 0.0
+        if layered:
+            # reduce-scatter over the c layers of each coarse cell (fused
+            # masking shrank the partials, so it shrinks this volume too)
+            reduce_retry = 0.0
+            for loc, elems in enumerate(self.reduce):
+                comm, extra = self._move(comm_mode, elems, agg, loc, loc, "reduce", None)
+                if overlap:
+                    comm = self._exposed(comm, self.last_compute[loc], elems, agg)
+                reduce = max(reduce, comm)
+                reduce_retry = max(reduce_retry, extra)
+            retries += reduce_retry
+
+        parts = {"broadcast": broadcast}
+        if layered:
+            parts["replicate"] = self.replicate
+        if self.faults is not None:
+            parts[RETRY_STEP] = retries
+        parts["multiply"] = self.multiply
+        parts["merge"] = self.merge
+        if layered:
+            parts["reduce"] = reduce
+        return Breakdown(parts)
+
+    def _exposed(self, comm, compute, nnz, agg):
+        """The share of ``comm`` a flush pipeline of ``nnz`` entries cannot
+        hide behind ``compute``."""
+        if comm <= 0.0:
+            return comm
+        startup = flush_startup(self.cfg, nnz, agg=agg, local=self.local)
+        return overlap_exposed(comm, compute, startup)

@@ -213,6 +213,25 @@ class TestDistDispatch:
         assert s.split(":")[1] in ("fine", "bulk")
         assert so.split(":")[1] in ("merge", "radix")
 
+    @pytest.mark.parametrize(
+        "axes",
+        [{"gather_mode": "bulkk"}, {"scatter_mode": "dense"}, {"sort": "heap"}],
+    )
+    def test_unknown_axis_rejected_before_pricing(self, axes):
+        """A bad axis raises before a decision or a ledger entry exists."""
+        a, x = _workload(n=120, seed=5)
+        grid = LocaleGrid(2, 2)
+        m = Machine(grid=grid, threads_per_locale=4, ledger=CostLedger())
+        d = Dispatcher(m)
+        with pytest.raises(ValueError, match=f"unknown {next(iter(axes))}"):
+            d.vxm_dist(
+                DistSparseMatrix.from_global(a, grid),
+                DistSparseVector.from_global(x, grid),
+                **axes,
+            )
+        assert d.decisions == []
+        assert m.ledger.entries == []
+
     def test_nonsquare_output_partition(self):
         # regression: the output space is the COLUMN space; non-square
         # inputs used to scatter into x's row-space partition

@@ -23,6 +23,9 @@ call and the cache stays empty.
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -61,6 +64,11 @@ def _ledgered_shm(threads: int = 4) -> Machine:
     )
 
 
+class _Anchor:
+    """A weakly referenceable stand-in for an operand matrix (anchors are
+    held by weak reference, which a bare ``object()`` does not support)."""
+
+
 # ---------------------------------------------------------------------------
 # the cache data structure itself
 # ---------------------------------------------------------------------------
@@ -87,7 +95,7 @@ class TestPlanCacheUnit:
 
     def test_anchor_mismatch_misses_and_evicts(self):
         cache = PlanCache()
-        a1, a2 = object(), object()
+        a1, a2 = _Anchor(), _Anchor()
         plan = cache.store(("k",), {"p": 1.0}, anchors=(a1,))
         assert cache.lookup(("k",), anchors=(a1,)) is plan
         assert cache.lookup(("k",), anchors=(a2,)) is None  # same key, new operand
@@ -189,6 +197,29 @@ class TestDispatcherCaching:
             h0 = d.plan_cache.stats()["hits"]
             d.vxm(b, x)  # same structural key, different anchor
             assert d.plan_cache.stats()["hits"] == h0
+
+    def test_dead_anchor_misses(self):
+        cache = PlanCache()
+        anchor = _Anchor()
+        cache.store(("k",), {"p": 1.0}, anchors=(anchor,))
+        del anchor
+        gc.collect()
+        assert cache.lookup(("k",), anchors=(_Anchor(),)) is None
+        assert cache.stats()["misses"] == 1
+
+    def test_priced_operands_are_not_kept_alive(self):
+        """Plans anchor their operands weakly: a priced matrix is collected
+        once the caller drops it."""
+        grid = LocaleGrid(2, 2)
+        a = DistSparseMatrix.from_global(erdos_renyi(40, 4, seed=1), grid)
+        d = Dispatcher(Machine(grid=grid, threads_per_locale=2, ledger=CostLedger()))
+        with fastpath.force(True):
+            d.mxm_dist(a, a)
+        assert len(d.plan_cache) == 1
+        ref = weakref.ref(a)
+        del a
+        gc.collect()
+        assert ref() is None
 
     def test_disabled_fastpath_bypasses_cache(self):
         a, x = _workload()

@@ -280,3 +280,74 @@ def test_lexsort_lint_catches_every_spelling():
     for src in ("np.lexsort((c, r))\n", "numpy.lexsort((c, r))\n", "lexsort((c, r))\n"):
         assert _lexsort_calls(ast.parse(src)) == [1], src
     assert _lexsort_calls(ast.parse("np.argsort(k, kind='stable')\n")) == []
+
+
+# ---------------------------------------------------------------------------
+# dispatch: SpGEMM pricing evaluates the kernels' bills, it writes none
+# ---------------------------------------------------------------------------
+
+#: the runtime cost primitives a bill is made of
+COST_PRIMITIVES = frozenset(
+    {"bulk", "flush_cost", "flush_startup", "overlap_exposed", "parallel_time", "coforall_spawn"}
+)
+
+#: the dispatcher's SpGEMM pricing path: predict statistics, then evaluate
+#: ``SummaSchedule`` / ``gathered_bill``
+SPGEMM_PRICING = ("estimate_mxm_dist", "_mxm_dist_stats")
+
+
+def _primitive_calls(tree: ast.AST) -> list[str]:
+    """``name:line`` of every call to a cost primitive, however spelled."""
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        fn = node.func
+        name = fn.attr if isinstance(fn, ast.Attribute) else getattr(fn, "id", None)
+        if name in COST_PRIMITIVES:
+            found.append(f"{name}:{node.lineno}")
+    return found
+
+
+def _method(tree: ast.AST, cls: str, name: str) -> ast.FunctionDef:
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef) and node.name == cls:
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and item.name == name:
+                    return item
+    raise AssertionError(f"{cls}.{name} not found")
+
+
+def _pricing_violations(tree: ast.AST) -> list[str]:
+    return [
+        f"Dispatcher.{name} calls {call}"
+        for name in SPGEMM_PRICING
+        for call in _primitive_calls(_method(tree, "Dispatcher", name))
+    ]
+
+
+def test_spgemm_pricing_calls_no_cost_primitive():
+    """One SpGEMM cost formula: the estimate is the kernels' own bill."""
+    tree = ast.parse((SRC_DIR / "ops" / "dispatch.py").read_text())
+    bad = _pricing_violations(tree)
+    assert not bad, "price through ops.mxm_dist / ops.matrix_dist bills:\n  " + "\n  ".join(bad)
+
+
+def test_pricing_lint_catches_a_planted_call():
+    for call in ("bulk(cfg, n)", "aggregation.flush_cost(cfg, n)", "parallel_time(cfg, w, t)"):
+        planted = (
+            "class Dispatcher:\n"
+            "    def estimate_mxm_dist(self):\n"
+            f"        return {call}\n"
+            "    def _mxm_dist_stats(self):\n"
+            "        return None\n"
+        )
+        assert len(_pricing_violations(ast.parse(planted))) == 1, call
+    clean = (
+        "class Dispatcher:\n"
+        "    def estimate_mxm_dist(self):\n"
+        "        return SummaSchedule(m, s).bill('bulk').total\n"
+        "    def _mxm_dist_stats(self):\n"
+        "        return _expected_out_nnz(4, 2)\n"
+    )
+    assert _pricing_violations(ast.parse(clean)) == []
