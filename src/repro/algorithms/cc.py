@@ -19,6 +19,7 @@ import numpy as np
 from ..algebra.semiring import MIN_SECOND
 from ..exec import Backend, ShmBackend
 from ..sparse.csr import CSRMatrix
+from ..sparse.sort import unique_sorted
 
 __all__ = [
     "connected_components",
@@ -95,7 +96,7 @@ def connected_components(
 
 def num_components(a: CSRMatrix, *, backend: Backend | None = None) -> int:
     """Number of connected components of the (undirected) graph."""
-    return int(np.unique(connected_components(a, backend=backend)).size)
+    return int(unique_sorted(connected_components(a, backend=backend)).size)
 
 
 def connected_components_incremental(

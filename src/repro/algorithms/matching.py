@@ -25,6 +25,7 @@ import numpy as np
 from ..algebra.semiring import MIN_SECOND
 from ..exec import Backend, ShmBackend
 from ..sparse.csr import CSRMatrix
+from ..sparse.sort import unique_sorted
 
 __all__ = ["maximal_matching", "is_valid_matching"]
 
@@ -89,7 +90,7 @@ def is_valid_matching(
         if a[i, j] is None or col_match[j] != i:
             return False
     used_cols = row_match[matched]
-    return np.unique(used_cols).size == used_cols.size
+    return unique_sorted(used_cols).size == used_cols.size
 
 
 def _is_maximal(a: CSRMatrix, row_match: np.ndarray, col_match: np.ndarray) -> bool:

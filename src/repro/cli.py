@@ -318,13 +318,14 @@ def cmd_telemetry(args) -> int:
         pagerank,
         sssp,
     )
+    from .sparse.sort import unique_sorted
 
     if args.algo == "bfs":
         levels = bfs_levels(a, args.source, backend=backend)
         print(f"bfs: reached {int((levels >= 0).sum())}/{a.nrows} vertices")
     elif args.algo == "cc":
         labels = connected_components(_symmetrized(a), backend=backend)
-        print(f"cc: {np.unique(labels).size} components")
+        print(f"cc: {unique_sorted(labels).size} components")
     elif args.algo == "pagerank":
         r = pagerank(a, backend=backend)
         print(f"pagerank: top vertex {int(np.argmax(r))}")

@@ -223,8 +223,9 @@ PROFILED_OPS = frozenset(
 def _profiled(op: str, fn):
     """Wrap a backend method with on_op_start/on_op_end bracketing.
 
-    Simulated seconds are measured as the sum of ledger entries the op
-    recorded; nested profiled ops report 0.0 so only the outermost call
+    Simulated seconds are measured as the growth of the ledger's total
+    over the op, so the ops' seconds telescope and re-add to the ledger
+    total; nested profiled ops report 0.0 so only the outermost call
     carries the time (see :class:`BackendProfile`).
     """
 
@@ -235,14 +236,12 @@ def _profiled(op: str, fn):
         depth = self._op_depth
         self._op_depth = depth + 1
         outermost = depth == 0 and ledger is not None
-        start = len(ledger.entries) if outermost else 0
+        before = ledger.total if outermost else 0.0
         try:
             return fn(self, *args, **kwargs)
         finally:
             self._op_depth = depth
-            seconds = 0.0
-            if outermost:
-                seconds = sum(b.total for _, b in ledger.entries[start:])
+            seconds = ledger.total - before if outermost else 0.0
             self.on_op_end(op, seconds)
 
     wrapper._telemetry_wrapped = True

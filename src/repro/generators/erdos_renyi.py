@@ -16,6 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..sparse.csr import CSRMatrix
+from ..sparse.sort import unique_sorted
 
 __all__ = ["erdos_renyi", "erdos_renyi_triples"]
 
@@ -51,10 +52,10 @@ def erdos_renyi_triples(
     nnz = int(rng.binomial(total_cells, p)) if p < 1.0 else total_cells
     # sample distinct linear cell indices; duplicates are rare for d << n,
     # so oversample then top up the shortfall.
-    chosen = np.unique(rng.integers(0, total_cells, size=int(nnz * 1.05) + 16))
+    chosen = unique_sorted(rng.integers(0, total_cells, size=int(nnz * 1.05) + 16))
     while chosen.size < nnz:
         extra = rng.integers(0, total_cells, size=nnz - chosen.size + 16)
-        chosen = np.unique(np.concatenate([chosen, extra]))
+        chosen = unique_sorted(np.concatenate([chosen, extra]))
     chosen = rng.permutation(chosen)[:nnz]
     rows = chosen // n
     cols = chosen % n

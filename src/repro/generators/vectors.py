@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..sparse.sort import unique_sorted
 from ..sparse.vector import DenseVector, SparseVector
 
 __all__ = ["random_sparse_vector", "random_bool_dense", "sample_distinct"]
@@ -30,10 +31,10 @@ def sample_distinct(
     if k > n // 2:
         # dense case: a partial shuffle is cheaper than rejection
         return np.sort(rng.permutation(n)[:k].astype(np.int64))
-    chosen = np.unique(rng.integers(0, n, size=int(k * 1.1) + 16))
+    chosen = unique_sorted(rng.integers(0, n, size=int(k * 1.1) + 16))
     while chosen.size < k:
         extra = rng.integers(0, n, size=k - chosen.size + 16)
-        chosen = np.unique(np.concatenate([chosen, extra]))
+        chosen = unique_sorted(np.concatenate([chosen, extra]))
     if chosen.size > k:
         keep = rng.choice(chosen.size, size=k, replace=False)
         chosen = np.sort(chosen[keep])

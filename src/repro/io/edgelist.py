@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from ..sparse.csr import CSRMatrix
+from ..sparse.sort import unique_sorted
 
 __all__ = ["iter_edgelist_chunks", "read_edgelist", "write_edgelist"]
 
@@ -117,7 +118,7 @@ def read_edgelist(
         raise ValueError("negative vertex id")
     ids = None
     if compact:
-        ids = np.unique(np.concatenate([u, v])) if u.size else np.empty(0, np.int64)
+        ids = unique_sorted(np.concatenate([u, v])) if u.size else np.empty(0, np.int64)
         remap = {int(orig): k for k, orig in enumerate(ids)}
         u = np.asarray([remap[int(x)] for x in u], dtype=np.int64)
         v = np.asarray([remap[int(x)] for x in v], dtype=np.int64)

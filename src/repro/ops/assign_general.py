@@ -17,6 +17,7 @@ import numpy as np
 
 from ..algebra.functional import BinaryOp
 from ..sparse.csr import CSRMatrix
+from ..sparse.sort import unique_sorted
 from ..sparse.vector import SparseVector
 
 __all__ = ["assign_vector", "assign_matrix"]
@@ -27,7 +28,7 @@ def _check_indices(indices: np.ndarray, bound: int, what: str) -> np.ndarray:
     if indices.size:
         if indices.min() < 0 or indices.max() >= bound:
             raise IndexError(f"{what} index out of bounds")
-        if np.unique(indices).size != indices.size:
+        if unique_sorted(indices).size != indices.size:
             raise ValueError(f"repeated {what} indices in assign")
     return indices
 

@@ -45,27 +45,21 @@ from ..runtime import fastpath
 from ..runtime.epoch import TransposeCache, epoch_of
 
 from ..algebra.semiring import PLUS_TIMES, Semiring
+from ..distributed.block import GridBlock1D
 from ..distributed.dist_matrix import DistSparseMatrix
 from ..distributed.dist_vector import DistSparseVector
-from ..runtime.aggregation import (
-    AGG_DEFAULT,
-    AggregationConfig,
-    flush_startup,
-    gather_agg,
-    overlap_exposed,
-    two_hop_estimate,
-)
+from ..runtime.aggregation import AGG_DEFAULT, AggregationConfig
 from ..runtime.clock import Breakdown
-from ..runtime.comm import bulk, fine_grained, gather_parts_fine
 from ..runtime.locale import Machine
-from ..runtime.tasks import parallel_time, sort_time
+from ..runtime.tasks import chunk_sizes, parallel_time
 from ..runtime.telemetry import registry as _metrics
 from ..sparse.csr import CSRMatrix
+from ..sparse.sort import unique_sorted
 from ..sparse.vector import SparseVector
 from .matrix_dist import gathered_bill, mxm_gathered
 from .mxm_dist import SummaSchedule, SummaStats, replication_factors, stage_flops
 from .mxm_dist import mxm_dist as _mxm_dist
-from .spmspv import bulk_scatter_cost, spmspv_dist, spmspv_shm, spmspv_shm_cost
+from .spmspv import COMM_MODES, SpmspvBill, SpmspvStats, spmspv_dist, spmspv_shm, spmspv_shm_cost
 from .spmspv_merge import spmspv_merge_cost, spmspv_shm_merge
 from .spmv import vxm_pull, vxm_pull_cost
 
@@ -87,6 +81,8 @@ PUSH_SORTBASED = "push[sortbased]"
 PULL = "pull"
 PUSH_KERNELS = (PUSH_MERGE, PUSH_RADIX, PUSH_SORTBASED)
 VXM_KERNELS = PUSH_KERNELS + (PULL,)
+#: the sort axis of the distributed vxm dispatch
+SORTS = ("merge", "radix")
 
 
 @dataclass(frozen=True)
@@ -406,7 +402,8 @@ class Dispatcher:
             allowed_mask = None
             allowed = None
             flops_eff = float(flops)
-        out_est = _expected_out_nnz(ncols, flops_eff, allowed)
+        # the collision model masks by itself: feed it every product
+        out_est = _expected_out_nnz(ncols, flops, allowed)
 
         est: dict[str, float] = {}
         for name, sort in ((PUSH_MERGE, "merge"), (PUSH_RADIX, "radix")):
@@ -553,85 +550,80 @@ class Dispatcher:
         a: DistSparseMatrix,
         x: DistSparseVector,
         *,
+        mask: np.ndarray | None = None,
+        complement: bool = False,
         agg: AggregationConfig = AGG_DEFAULT,
     ) -> dict[str, float]:
-        """Estimated seconds for each communication/sort candidate of the
-        distributed SpMSpV (Listing 8).
-
-        Gather estimates are *exact* — they depend only on the known block
-        nnz counts — so auto never loses to a forced mode there; scatter
-        and sort use the collision-model output estimate.  The ``agg``
-        candidates price the destination-buffered exchange: flush-batched
-        streams, two-hop routing for the scatter, and (for the scatter) the
-        overlap credit against the estimated local multiply.
+        """Estimated seconds for each axis of the distributed SpMSpV
+        (Listing 8): one component of the kernel's own bill
+        (:class:`~repro.ops.spmspv.SpmspvBill`), fault-free and unmetered,
+        over the statistics :meth:`_vxm_dist_stats` predicts —
+        ``gather:<mode>`` is ``Gather Input``, ``sort:<sort>`` is ``Local
+        Multiply`` and ``scatter:<mode>`` is ``Scatter output`` under the
+        cheaper sort.
         """
-        machine = self.machine
-        cfg = machine.config
-        grid = a.grid
-        pr, pc = grid.rows, grid.cols
-        threads = machine.threads_per_locale
-        local = machine.oversubscribed
-        itemsize = 16
+        bill = SpmspvBill(self.machine, self._vxm_dist_stats(a, x, mask=mask, complement=complement))
+        multiply = {s: bill.multiply(s) for s in SORTS}
+        cheaper = multiply[min(SORTS, key=lambda s: max(multiply[s]))]
+        est = {f"gather:{m}": bill.gather(m, agg)[0] for m in COMM_MODES}
+        est.update({f"scatter:{m}": bill.scatter(m, cheaper, agg)[0] for m in COMM_MODES})
+        est.update({f"sort:{s}": max(multiply[s]) for s in SORTS})
+        return est
 
-        gather_fine = []
-        gather_bulk = []
-        gather_agg_est = []
+    def _vxm_dist_stats(
+        self, a: DistSparseMatrix, x: DistSparseVector, *, mask, complement: bool
+    ) -> SpmspvStats:
+        """The statistics the SpMSpV bill reads, predicted from the operands.
+
+        The gather parts are exact.  Each locale's selected rows take its
+        block's mean row length, passed as per-thread sums; its output is
+        the collision model over its column block's mask-allowed columns,
+        fed the unmasked flops, and splits over the block's owners by their
+        allowed counts.  Each owner merges what it receives by the same
+        model over its own allowed columns.
+        """
+        grid, layout, pc = a.grid, a.layout, a.grid.cols
+        x_nnz = [blk.nnz for blk in x.blocks]
+        # the owners' and the column blocks' bounds cut the output space
+        # into segments; each segment's allowed columns are counted once
+        owner_bounds = GridBlock1D.for_grid(a.ncols, grid).bounds
+        col_bounds = layout.col_blocks.bounds
+        cuts = unique_sorted(np.concatenate([owner_bounds, col_bounds]))
+        allowed = np.diff(cuts)
+        if mask is not None:
+            kept = np.asarray(mask, dtype=bool)
+            hits = [np.count_nonzero(kept[lo:hi]) for lo, hi in zip(cuts[:-1], cuts[1:])]
+            allowed = allowed - hits if complement else np.array(hits, np.int64)
+        seg_owner = np.searchsorted(owner_bounds, cuts[:-1], side="right") - 1
+        first = np.searchsorted(cuts, col_bounds).tolist()
+        # per column block: its owners and their cumulative allowed columns
+        blocks = [
+            (seg_owner[lo:hi], np.cumsum(allowed[lo:hi]).tolist())
+            for lo, hi in zip(first[:-1], first[1:])
+        ]
+        widths = np.diff(col_bounds).tolist()
+        heights = np.diff(layout.row_blocks.bounds).tolist()
+        teams = [sum(x_nnz[i * pc : (i + 1) * pc]) for i in range(grid.rows)]
+        chunks = [chunk_sizes(team, self.machine.threads_per_locale) for team in teams]
+        traffic = np.zeros((grid.size, grid.size), np.int64)
+        rows, out_nnz = [], []
         for loc in grid:
-            team = grid.row_team(loc.row)
-            remote = [x.blocks[t.id].nnz for t in team if t.id != loc.id]
-            own = bulk(cfg, x.blocks[loc.id].nnz * itemsize, local=True)
-            gather_fine.append(
-                own + gather_parts_fine(
-                    cfg, remote, threads=threads, concurrent_peers=pc, local=local
-                )
-            )
-            gather_bulk.append(
-                own + sum(bulk(cfg, s * itemsize, local=local) for s in remote)
-            )
-            gather_agg_est.append(own + gather_agg(cfg, remote, agg=agg, local=local))
-
-        # output-size estimate per locale column block
-        flops = x.nnz * (a.nnz / max(a.nrows, 1))
-        ncols_block = a.ncols / max(pc, 1)
-        out_per_locale = _expected_out_nnz(
-            max(int(ncols_block), 1), flops / max(grid.size, 1)
-        )
-        remote_elems = int(out_per_locale * (pr - 1) / max(pr, 1))
-        scatter_fine = fine_grained(
-            cfg, remote_elems, threads=threads, concurrent_peers=pr, local=local
-        )
-        scatter_bulk = bulk_scatter_cost(cfg, pr, remote_elems, itemsize)
-        scatter_agg = two_hop_estimate(cfg, grid, remote_elems, agg=agg, local=local)
-        if agg.overlap and scatter_agg > 0.0:
-            # the exchange streams behind the local multiply: credit the
-            # estimate with the same pipeline the kernel charges
-            est_multiply = parallel_time(
-                cfg,
-                (flops / max(grid.size, 1))
-                * cfg.element_cost
-                * machine.compute_penalty,
-                threads,
-            )
-            scatter_agg = overlap_exposed(
-                scatter_agg,
-                est_multiply,
-                flush_startup(cfg, remote_elems, agg=agg, local=local),
-            )
-        key_bits = max(int(max(ncols_block, 2) - 1).bit_length(), 1)
-        sort_est = {
-            s: sort_time(cfg, out_per_locale, threads, algorithm=s, key_bits=key_bits)
-            for s in ("merge", "radix")
-        }
-        return {
-            "gather:fine": max(gather_fine),
-            "gather:bulk": max(gather_bulk),
-            "gather:agg": max(gather_agg_est),
-            "scatter:fine": scatter_fine,
-            "scatter:bulk": scatter_bulk,
-            "scatter:agg": scatter_agg,
-            "sort:merge": sort_est["merge"],
-            "sort:radix": sort_est["radix"],
-        }
+            i, j = loc.row, loc.col
+            owners, cum = blocks[j]
+            mean = a.block(i, j).nnz / max(heights[i], 1)
+            live = cum[-1] if cum else 0
+            out = _expected_out_nnz(widths[j], teams[i] * mean, None if mask is None else live)
+            rows.append(chunks[i] * mean)
+            out_nnz.append(out)
+            if out and live:
+                share = [0] + [round(c * (out / live)) for c in cum]
+                traffic[loc.id, owners] = [hi - lo for lo, hi in zip(share, share[1:])]
+        owner_allowed = np.bincount(seg_owner, allowed, minlength=grid.size).tolist()
+        merged = [
+            _expected_out_nnz(int(n), r) for n, r in zip(owner_allowed, traffic.sum(axis=0).tolist())
+        ]
+        ncols = [widths[loc.col] for loc in grid]
+        return SpmspvStats(grid, x_nnz, rows, out_nnz, ncols, traffic, merged)
 
     def vxm_dist(
         self,
@@ -662,57 +654,25 @@ class Dispatcher:
             complement = complement or bool(getattr(desc, "complement", False))
             replace = bool(getattr(desc, "replace", False))
         for axis, value, allowed in (
-            ("gather_mode", gather_mode, ("fine", "bulk", "agg")),
-            ("scatter_mode", scatter_mode, ("fine", "bulk", "agg")),
-            ("sort", sort, ("merge", "radix")),
+            ("gather_mode", gather_mode, COMM_MODES),
+            ("scatter_mode", scatter_mode, COMM_MODES),
+            ("sort", sort, SORTS),
         ):
             if value not in ("auto",) + allowed:
                 raise ValueError(f"unknown {axis} {value!r}")
-        # plan-cache key: matrix identity + grid shape + per-block frontier
-        # nnz buckets (the gather estimate is per-locale) + the aggregation
-        # descriptor (hashable frozen dataclass — a tuning change is a new key)
-        key = (
-            "vxm_dist",
-            a.nrows,
-            a.ncols,
-            nnz_bucket(a.nnz),
-            epoch_of(a),
-            a.grid.rows,
-            a.grid.cols,
-            tuple(nnz_bucket(blk.nnz) for blk in x.blocks),
-            agg,
-        )
-        est = self._priced(
-            key, (a,), lambda: self.estimate_vxm_dist(a, x, agg=agg)
-        )
+        est = self.estimate_vxm_dist(a, x, mask=mask, complement=complement, agg=agg)
         forced = "auto" not in (gather_mode, scatter_mode, sort)
         if gather_mode == "auto":
-            gather_mode = min(
-                ("fine", "bulk", "agg"), key=lambda m: est[f"gather:{m}"]
-            )
+            gather_mode = min(COMM_MODES, key=lambda m: est[f"gather:{m}"])
         if scatter_mode == "auto":
-            scatter_mode = min(
-                ("fine", "bulk", "agg"), key=lambda m: est[f"scatter:{m}"]
-            )
+            scatter_mode = min(COMM_MODES, key=lambda m: est[f"scatter:{m}"])
         if sort == "auto":
-            sort = "merge" if est["sort:merge"] <= est["sort:radix"] else "radix"
-        self._decide(
-            "vxm_dist",
-            f"gather:{gather_mode}+scatter:{scatter_mode}+sort:{sort}",
-            est,
-            forced=forced,
-        )
+            sort = min(SORTS, key=lambda s: est[f"sort:{s}"])
+        chosen = f"gather:{gather_mode}+scatter:{scatter_mode}+sort:{sort}"
+        self._decide("vxm_dist", chosen, est, forced=forced)
         y, b = spmspv_dist(
-            a,
-            x,
-            self.machine,
-            semiring=semiring,
-            sort=sort,
-            gather_mode=gather_mode,
-            scatter_mode=scatter_mode,
-            mask=mask,
-            complement=complement,
-            agg=agg,
+            a, x, self.machine, semiring=semiring, sort=sort, gather_mode=gather_mode,
+            scatter_mode=scatter_mode, mask=mask, complement=complement, agg=agg,
         )
         if accum is None and out is None and not replace:
             return y, b

@@ -132,11 +132,8 @@ def ewisemult_dist(
             SparseVector(xb.capacity, xb.indices[keep].copy(), combined[keep].copy())
         )
         cost = ewisemult_sd_cost(machine, xb.nnz, out_blocks[-1].nnz, method=method)
-        per_locale.append(
-            cost.scaled(
-                local_time_ft(1.0, faults=faults, locale=k, site="ewisemult_dist")
-            )
-        )
+        local_time_ft(cost.total, faults=faults, locale=k, site="ewisemult_dist")
+        per_locale.append(cost.scaled(1.0 if faults is None else faults.slowdown(k)))
     z = DistSparseVector(x.capacity, x.grid, out_blocks)
     spawn = coforall_spawn(cfg, machine.num_locales, machine.locales_per_node)
     b = Breakdown.parallel(per_locale) + Breakdown({"ewisemult": spawn})

@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..sparse.csr import CSRMatrix
+from ..sparse.sort import unique_sorted
 from ..sparse.vector import SparseVector
 
 __all__ = ["extract_vector", "extract_matrix", "extract_row", "extract_col"]
@@ -46,7 +47,7 @@ def extract_matrix(a: CSRMatrix, rows: np.ndarray, cols: np.ndarray) -> CSRMatri
     cols = np.asarray(cols, dtype=np.int64)
     if cols.size and (cols.min() < 0 or cols.max() >= a.ncols):
         raise IndexError("column index out of bounds")
-    if np.unique(cols).size != cols.size:
+    if unique_sorted(cols).size != cols.size:
         raise ValueError("repeated column indices are not supported")
     sub = a.extract_rows(rows)
     # map old column id -> new position (or -1)

@@ -25,6 +25,8 @@ kernel per locale and has the Fig 8-9 components:
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from ..distributed.block import GridBlock1D
@@ -37,7 +39,9 @@ from ..runtime.aggregation import (
     ceil_div,
     default_pool,
     exchange,
+    exchange_cost,
     flush_startup,
+    gather_agg,
     gather_agg_ft,
     group_by_owner,
     merge_superstep_batches,
@@ -50,12 +54,13 @@ from ..runtime.comm import (
     bulk,
     bulk_ft,
     fine_grained,
+    gather_parts_fine,
     gather_parts_ft,
     reduce_scatter,
 )
 from ..runtime.config import MachineConfig
 from ..runtime.faults import RETRY_STEP
-from ..runtime.locale import Machine
+from ..runtime.locale import LocaleGrid, Machine
 from ..runtime.tasks import coforall_spawn, local_time_ft, makespan, parallel_time, sort_time
 from ..sparse.csr import CSRMatrix, _ranges as _csr_ranges
 from ..sparse.sort import merge_sort, radix_sort, stable_argsort_bounded
@@ -78,6 +83,10 @@ OUTPUT_STEP = "Output"
 GATHER_STEP = "Gather Input"
 MULTIPLY_STEP = "Local Multiply"
 SCATTER_STEP = "Scatter output"
+
+#: the communication modes of the distributed gather and scatter
+COMM_MODES = ("fine", "bulk", "agg")
+_ITEMSIZE = 16  # (int64 index, float64 value) per transferred element
 
 
 def bulk_scatter_cost(
@@ -265,49 +274,47 @@ def _spmspv_block_task(a_blk, lx, semiring, sort, mask_slice, complement):
     )
 
 
-def _spmd_local_multiplies(a, x, grid, layout, semiring, sort, mask, complement):
-    """Ship every locale's Step-2 multiply to the worker pool up front.
+def _local_multiplies(a, x, semiring, sort, mask, complement):
+    """Steps 1-2 of every locale: ``(ly, row_nnzs)`` in grid order.
 
-    Matrix blocks and the per-processor-row ``lx`` slices go out as
-    :func:`repro.runtime.spmd.handle` tokens (payload once per worker,
-    token afterwards — a BFS iteration re-ships only its frontier slices).
-    Returns per-locale ``(ly, row_nnzs)`` in grid order; the serial loop
-    then consumes them in its unchanged order, keeping every simulated
-    cost, fault, and ledger decision on the master.
+    The gathered slice ``lx`` is a pure function of the processor ROW
+    (every locale of row ``i`` assembles the same parts shifted by the
+    same ``rlo``), so it is built once per row and shared read-only.  With
+    the opt-in SPMD pool every multiply ships to the workers, blocks and
+    slices as :func:`repro.runtime.spmd.handle` tokens (payload once per
+    worker — a BFS iteration re-ships only its frontier slices).
     """
+    grid, layout = a.grid, a.layout
     xb_bounds = x.dist.bounds
-    lx_rows: dict[int, SparseVector] = {}
-    tasks = []
-    for loc in grid:
-        i, j = loc.row, loc.col
-        rlo, rhi, clo, chi = layout.extent(i, j)
-        lx = lx_rows.get(i)
-        if lx is None:
-            idx_parts, val_parts = [], []
-            for t in grid.row_team(i):
-                blk = x.blocks[t.id]
-                idx_parts.append(blk.indices + (xb_bounds[t.id] - rlo))
-                val_parts.append(blk.values)
-            lx = SparseVector(
+    slices = []
+    for i in range(grid.rows):
+        rlo, rhi = layout.row_blocks.extent(i)
+        team = [t.id for t in grid.row_team(i)]
+        slices.append(
+            SparseVector(
                 rhi - rlo,
-                np.concatenate(idx_parts) if idx_parts else np.empty(0, np.int64),
-                np.concatenate(val_parts) if val_parts else np.empty(0),
-            )
-            lx_rows[i] = lx
-        mask_slice = (
-            np.asarray(mask, dtype=bool)[clo:chi] if mask is not None else None
-        )
-        tasks.append(
-            (
-                spmd.handle(a.block(i, j)),
-                spmd.handle(lx),
-                semiring,
-                sort,
-                mask_slice,
-                complement,
+                np.concatenate([x.blocks[t].indices + (xb_bounds[t] - rlo) for t in team]),
+                np.concatenate([x.blocks[t].values for t in team]),
             )
         )
-    return spmd.map_blocks(_spmspv_block_task, tasks), lx_rows
+    kept = None if mask is None else np.asarray(mask, dtype=bool)
+    tasks = [
+        (
+            a.block(loc.row, loc.col),
+            slices[loc.row],
+            semiring,
+            sort,
+            None if kept is None else kept[slice(*layout.col_blocks.extent(loc.col))],
+            complement,
+        )
+        for loc in grid
+    ]
+    if spmd.enabled():
+        return spmd.map_blocks(
+            _spmspv_block_task,
+            [(spmd.handle(blk), spmd.handle(lx), *rest) for blk, lx, *rest in tasks],
+        )
+    return [_spmspv_block_task(*task) for task in tasks]
 
 
 def spmspv_dist(
@@ -349,6 +356,11 @@ def spmspv_dist(
     bit-identical to fault-free execution.  A failed locale (or an
     exhausted retry budget) raises
     :class:`~repro.runtime.faults.LocaleFailure` instead.
+
+    One fold, one bill: :func:`_fold` computes the output and measures the
+    :class:`SpmspvStats`; :class:`SpmspvBill` charges the chosen modes
+    over them.  :meth:`~repro.ops.dispatch.Dispatcher.estimate_vxm_dist`
+    evaluates the same bill on predicted statistics.
     """
     if mask is not None and np.asarray(mask).size != a.ncols:
         raise ValueError("mask length must equal the matrix column count")
@@ -356,193 +368,90 @@ def spmspv_dist(
         raise ValueError("x capacity must equal the matrix row count")
     if x.grid is not a.grid and (x.grid.rows, x.grid.cols) != (a.grid.rows, a.grid.cols):
         raise ValueError("x and A must share the locale grid")
-    cfg = machine.config
-    grid = a.grid
-    pr, pc = grid.rows, grid.cols
-    threads = machine.threads_per_locale
-    layout = a.layout
-    itemsize = 16  # (int64 index, float64 value) per transferred element
-    local = machine.oversubscribed
+    for axis, mode in (("gather_mode", gather_mode), ("scatter_mode", scatter_mode)):
+        if mode not in COMM_MODES:
+            raise ValueError(f"unknown {axis} {mode!r}")
     faults = machine.faults
     if faults is not None:
         # an SPMD kernel needs every locale of the grid alive; a down
         # locale is an uncovered fault and fails the whole op up front
-        faults.check_grid(grid, "spmspv_dist")
+        faults.check_grid(a.grid, "spmspv_dist")
+    # New pool epoch at op entry: last superstep's scratch (the traffic
+    # matrix, the exchange's cost vectors) is recycled, so a steady-state
+    # BFS/PageRank iteration allocates nothing here.
+    default_pool.reset()
+    # element-wise puts can drop/duplicate individually; the aggregated
+    # exchange ships sequence-tagged batches, so its delivery is exact by
+    # construction and its batch-level faults are billed by exchange()
+    puts = faults if scatter_mode != "agg" else None
+    y, stats = _fold(a, x, machine, semiring, sort, mask, complement, puts)
+    bill = SpmspvBill(machine, stats, run=True).bill(gather_mode, scatter_mode, sort, agg)
+    return y, machine.record("spmspv_dist", bill)
 
-    spawn = coforall_spawn(cfg, machine.num_locales, machine.locales_per_node)
-    # per-locale per-step seconds; every list is one Breakdown component, so
-    # the final assembly folds each with max() — the same value (bit for
-    # bit) Breakdown.parallel over single-component breakdowns produces,
-    # without constructing ~5 dicts per locale per superstep
-    gather_ts: list[float] = []
-    multiply_ts: list[float] = []
-    scatter_ts: list[float] = []
-    retry_ts: list[float] = []
-    # partial outputs grouped by owner locale of the global index.  The
-    # output index space is the matrix's COLUMN space — for non-square
-    # matrices this differs from x's partition (over the row space).
+
+@dataclass(frozen=True)
+class SpmspvStats:
+    """The sparsity statistics a distributed SpMSpV bill reads, one entry
+    per locale in id order.  The kernel's fold measures them; the
+    dispatcher predicts them (``docs/dispatch.md`` says which are exact).
+    """
+
+    grid: LocaleGrid
+    x_nnz: list
+    """Stored entries of x's block on each locale: the gather parts."""
+    rows: list
+    """Each locale's local-multiply work items: the lengths of the rows it
+    selects (the dispatcher predicts per-thread sums instead)."""
+    out_nnz: list
+    """Entries of each locale's local output."""
+    ncols: list
+    """Width of each locale's column block."""
+    traffic: np.ndarray
+    """``p×p`` int64: entries locale ``s`` scatters to owner ``d``."""
+    merged: list
+    """Entries of each owner's merged output block."""
+    repairs: list | None = None
+    """Per locale, the retry seconds of each element-wise put stream it
+    sent under a fault plan, in send order; ``None`` when exact."""
+
+
+def _fold(a, x, machine, semiring, sort, mask, complement, puts):
+    """Listing 8's value plane — row-team gather, masked local multiplies,
+    owner grouping, superstep merge — and the statistics it measured.
+
+    ``puts`` is the fault injector the element-wise scatter puts travel
+    through (``None``: exact delivery); what each repaired stream cost is
+    measured into :attr:`SpmspvStats.repairs`.
+    """
+    grid = a.grid
+    p = grid.size
+    # The output index space is the matrix's COLUMN space — for
+    # non-square matrices this differs from x's partition (over the rows).
     out_dist = GridBlock1D.for_grid(a.ncols, grid)
-    owner_indices: list[list[np.ndarray]] = [[] for _ in range(grid.size)]
-    owner_values: list[list[np.ndarray]] = [[] for _ in range(grid.size)]
-    # fault-free fast path: instead of appending per-(locale, owner) slices
-    # and merging each owner with its own sort, keep every locale's full
-    # sorted batch and merge the whole superstep with ONE global stable
-    # sort after the loop (see the merge step below for the identity
-    # argument).  Fault runs keep the per-owner loop — deliver_puts must
-    # see each (src, dst) stream individually.
-    global_merge = fastpath.enabled() and faults is None
+    owner_indices: list[list[np.ndarray]] = [[] for _ in range(p)]
+    owner_values: list[list[np.ndarray]] = [[] for _ in range(p)]
+    # fast path: keep every locale's full sorted batch and merge the whole
+    # superstep with ONE global stable sort after the loop instead of one
+    # sort per owner.  Faulty puts keep the per-owner loop — deliver_puts
+    # must see each (src, dst) stream individually.
+    global_merge = fastpath.enabled() and puts is None
     sent_idx: list[np.ndarray] = []
     sent_vals: list[np.ndarray] = []
-    # per-(source, destination) scatter traffic, filled during the loop and
-    # costed afterwards when the aggregated exchange needs the whole matrix.
-    # New pool epoch at op entry: last superstep's scratch (this matrix, the
-    # exchange's cost vectors) is recycled, so a steady-state BFS/PageRank
-    # iteration allocates nothing here.
-    default_pool.reset()
-    scatter_counts = default_pool.take((grid.size, grid.size), np.int64)
-
-    # opt-in SPMD pool: every Step-2 multiply is a pure function of its
-    # block operands, so all of them ship to the workers up front (in grid
-    # order) and the loop below consumes them by locale id — results are
-    # positionally identical to serial execution, while every simulated
-    # cost, fault draw, and ledger charge stays on the master in the
-    # unchanged loop order.
-    spmd_ly = None
-    if spmd.enabled():
-        spmd_ly, lx_by_row = _spmd_local_multiplies(
-            a, x, grid, layout, semiring, sort, mask, complement
+    traffic = default_pool.take((p, p), np.int64)
+    repairs = None if puts is None else [[] for _ in range(p)]
+    if puts is not None:
+        put_cost = fine_grained(
+            machine.config, 1, threads=machine.threads_per_locale,
+            concurrent_peers=grid.rows, local=machine.oversubscribed,
         )
-    else:
-        # the gathered slice lx is a pure function of the processor ROW
-        # (every locale of row i assembles the same parts shifted by the
-        # same rlo), so on the fast path it is built once per row and
-        # shared read-only — identical arrays, pc× fewer concatenations
-        lx_by_row = {}
-    # loop invariants: the put cost is a pure function of machine constants,
-    # the x partition bounds never change mid-op, and the row team (with its
-    # part sizes) depends only on the processor row
-    put_cost = fine_grained(
-        cfg, 1, threads=threads, concurrent_peers=pr, local=local
-    )
-    xb_bounds = x.dist.bounds
-    teams_by_row: dict[int, tuple[list, list[int]]] = {}
-
-    for loc in grid:
-        i, j = loc.row, loc.col
-        rlo, rhi, clo, chi = layout.extent(i, j)
-        # ---- Step 1: gather x parts along processor row i ----------------
-        team = teams_by_row.get(i)
-        if team is None:
-            row_team = grid.row_team(i)
-            part_sizes = [x.blocks[t.id].nnz for t in row_team]
-            teams_by_row[i] = (row_team, part_sizes)
-        else:
-            row_team, part_sizes = team
-        lx = (
-            lx_by_row.get(i)
-            if spmd_ly is not None or fastpath.enabled()
-            else None
-        )
-        if lx is None:
-            idx_parts, val_parts = [], []
-            for t in row_team:
-                blk = x.blocks[t.id]
-                idx_parts.append(blk.indices + (xb_bounds[t.id] - rlo))
-                val_parts.append(blk.values)
-            lx = SparseVector(
-                rhi - rlo,
-                np.concatenate(idx_parts) if idx_parts else np.empty(0, np.int64),
-                np.concatenate(val_parts) if val_parts else np.empty(0),
-            )
-            lx_by_row[i] = lx
-        remote_parts = [
-            s for t, s in zip(row_team, part_sizes) if t.id != loc.id
-        ]
-        remote_srcs = [t.id for t in row_team if t.id != loc.id]
-        retry_t = 0.0
-        # Listing 8 copies the locale's OWN part into lxDom too — a local
-        # memcpy that gives the 1-node gather its (small) measured cost
-        own_copy = bulk(cfg, x.blocks[loc.id].nnz * itemsize, local=True)
-        if gather_mode == "fine":
-            base, extra = gather_parts_ft(
-                cfg,
-                remote_parts,
-                remote_srcs,
-                faults=faults,
-                site="spmspv_dist.gather",
-                dst=loc.id,
-                threads=threads,
-                concurrent_peers=pc,
-                local=local,
-            )
-            gt = own_copy + base
-            retry_t += extra
-        elif gather_mode == "bulk":
-            gt = own_copy
-            for s, src in zip(remote_parts, remote_srcs):
-                base, extra = bulk_ft(
-                    cfg,
-                    s * itemsize,
-                    faults=faults,
-                    site=f"spmspv_dist.gather.bulk[{src}->{loc.id}]",
-                    src=src,
-                    dst=loc.id,
-                    local=local,
-                )
-                gt += base
-                retry_t += extra
-        elif gather_mode == "agg":
-            # flush-batched streams from the row team: one buffer setup for
-            # the whole team, no per-element latency, batch-granular retries
-            base, extra = gather_agg_ft(
-                cfg,
-                remote_parts,
-                remote_srcs,
-                faults=faults,
-                site="spmspv_dist.gather",
-                dst=loc.id,
-                agg=agg,
-                local=local,
-            )
-            gt = own_copy + base
-            retry_t += extra
-        else:
-            raise ValueError(f"unknown gather_mode {gather_mode!r}")
-        gather_ts.append(gt)
-
-        # ---- Step 2: local multiply (with this column block's mask slice)
-        if spmd_ly is not None:
-            ly, row_nnzs = spmd_ly[loc.id]
-        else:
-            mask_slice = (
-                np.asarray(mask, dtype=bool)[clo:chi] if mask is not None else None
-            )
-            ly, row_nnzs = _local_spmspv(
-                a.block(i, j), lx, semiring, sort,
-                mask=mask_slice, complement=complement,
-            )
-        mb = spmspv_shm_cost(
-            machine,
-            row_nnzs=row_nnzs,
-            out_nnz=ly.nnz,
-            ncols=chi - clo,
-            sort=sort,
-        )
-        multiply_ts.append(
-            local_time_ft(
-                mb.total,
-                faults=faults,
-                locale=loc.id,
-                site="spmspv_dist.multiply",
-            )
-        )
-
+    products = _local_multiplies(a, x, semiring, sort, mask, complement)
+    for loc, (ly, _) in zip(grid, products):
         # ---- Step 3: scatter ly into the global output -------------------
         # element-wise puts to the owning locales; under fault injection
         # dropped puts are re-sent after an ack timeout and duplicated puts
         # de-duplicated at the owner by their sequence tag, so the merged
         # output stays bit-identical to fault-free execution
-        gidx = ly.indices + clo
+        gidx = ly.indices + a.layout.col_blocks.extent(loc.col)[0]
         owners = out_dist.owners(gidx) if gidx.size else np.empty(0, np.int64)
         # group the outgoing puts by owner in one vectorised pass (stable,
         # ascending owners — bit-compatible with the per-owner mask loop).
@@ -552,135 +461,221 @@ def spmspv_dist(
             owners, gidx, ly.values, assume_sorted=fastpath.enabled()
         )
         if uniq.size:
-            scatter_counts[loc.id, uniq] = offsets[1:] - offsets[:-1]
+            traffic[loc.id, uniq] = offsets[1:] - offsets[:-1]
         if global_merge:
             if gidx_s.size:
                 sent_idx.append(gidx_s)
                 sent_vals.append(vals_s)
-        else:
-            for k, o in enumerate(uniq):
-                o = int(o)
-                idx_o = gidx_s[offsets[k] : offsets[k + 1]] - out_dist.bounds[o]
-                val_o = vals_s[offsets[k] : offsets[k + 1]]
-                if faults is not None and o != loc.id and scatter_mode != "agg":
-                    # element-wise modes: puts can drop/duplicate
-                    # individually.  The aggregated exchange ships
-                    # sequence-tagged batches instead, so its delivery is
-                    # exact by construction and its batch-level faults are
-                    # charged post-loop by exchange().
-                    idx_o, val_o, extra = faults.deliver_puts(
-                        f"spmspv_dist.scatter[{loc.id}->{o}]",
-                        idx_o,
-                        val_o,
-                        src=loc.id,
-                        dst=o,
-                        per_element_seconds=put_cost,
-                    )
-                    retry_t += extra
-                owner_indices[o].append(idx_o)
-                owner_values[o].append(val_o)
-        remote_elems = int((owners != loc.id).sum()) if gidx.size else 0
-        if scatter_mode == "fine":
-            st = fine_grained(
-                cfg, remote_elems, threads=threads, concurrent_peers=pr, local=local
-            )
-        elif scatter_mode == "bulk":
-            st = bulk_scatter_cost(cfg, pr, remote_elems, itemsize)
-        elif scatter_mode == "agg":
-            st = 0.0  # costed post-loop from the full traffic matrix
-        else:
-            raise ValueError(f"unknown scatter_mode {scatter_mode!r}")
-        scatter_ts.append(st)
-        retry_ts.append(retry_t)
-
-    if scatter_mode == "agg":
-        # two-hop destination-buffered exchange over the whole grid; each
-        # locale's transfer streams behind its local multiply, so only the
-        # exposed share (plus the pipeline-fill flush) hits the makespan
-        ex = exchange(
-            cfg,
-            grid,
-            scatter_counts,
-            agg=agg,
-            local=local,
-            faults=faults,
-            site="spmspv_dist.scatter",
-        )
-        for k in range(grid.size):
-            comm = float(ex.send_seconds[k])
-            if agg.overlap and comm > 0.0:
-                out_remote = int(scatter_counts[k].sum() - scatter_counts[k, k])
-                comm = overlap_exposed(
-                    comm,
-                    multiply_ts[k],
-                    flush_startup(cfg, out_remote, agg=agg, local=local),
+            continue
+        for k, o in enumerate(uniq.tolist()):
+            idx_o = gidx_s[offsets[k] : offsets[k + 1]] - out_dist.bounds[o]
+            val_o = vals_s[offsets[k] : offsets[k + 1]]
+            if puts is not None and o != loc.id:
+                idx_o, val_o, extra = puts.deliver_puts(
+                    f"spmspv_dist.scatter[{loc.id}->{o}]", idx_o, val_o,
+                    src=loc.id, dst=o, per_element_seconds=put_cost,
                 )
-            scatter_ts[k] = comm
-            if faults is not None:
-                retry_ts[k] = retry_ts[k] + float(ex.retry_seconds[k])
+                repairs[loc.id].append(extra)
+            owner_indices[o].append(idx_o)
+            owner_values[o].append(val_o)
 
     # merge partial outputs at their owners (the "global SPA" + denseToSparse)
-    out_blocks: list[SparseVector] = []
-    finalize_ts: list[float] = []
     if global_merge:
-        # One global stable sort replaces the per-owner from_pairs merges
-        # (see merge_superstep_batches for the bit-identity argument: the
+        # see merge_superstep_batches for the bit-identity argument: the
         # owner is a function of the index, equal-index entries keep the
         # source-locale batch order, dedup segments never cross an owner
         # boundary, and each segment folds left-to-right with the same
-        # monoid in the same dtype).
+        # monoid in the same dtype
         midx, mvals, cutpos = merge_superstep_batches(
-            a.ncols,
-            out_dist.bounds,
-            sent_idx,
-            sent_vals,
-            combine=semiring.add.reduceat_dense,
-            argsort=stable_argsort_bounded,
+            a.ncols, out_dist.bounds, sent_idx, sent_vals,
+            combine=semiring.add.reduceat_dense, argsort=stable_argsort_bounded,
         )
-    for k in range(grid.size):
+    out_blocks: list[SparseVector] = []
+    for k in range(p):
         cap = out_dist.size_of(k)
         if global_merge:
             lo, hi = int(cutpos[k]), int(cutpos[k + 1])
-            if hi > lo:
-                out_blocks.append(
-                    SparseVector(
-                        cap, midx[lo:hi] - out_dist.bounds[k], mvals[lo:hi]
-                    )
-                )
-            else:
-                out_blocks.append(SparseVector.empty(cap))
+            idx, vals = midx[lo:hi] - out_dist.bounds[k], mvals[lo:hi]
+            out_blocks.append(SparseVector(cap, idx, vals) if hi > lo else SparseVector.empty(cap))
         elif owner_indices[k]:
             idx = np.concatenate(owner_indices[k])
             vals = np.concatenate(owner_values[k])
             out_blocks.append(SparseVector.from_pairs(cap, idx, vals, dup=semiring.add))
         else:
             out_blocks.append(SparseVector.empty(cap))
-        # each locale compacts its dense SPA slice back to sparse
-        finalize_ts.append(
-            parallel_time(
-                cfg,
-                out_blocks[-1].nnz * cfg.element_cost * machine.compute_penalty,
-                threads,
-            )
-        )
-    y = DistSparseVector(a.ncols, grid, out_blocks)
-    # component-wise: Breakdown.parallel over the per-locale single-step
-    # breakdowns is max() over non-negative seconds, and Breakdown addition
-    # over disjoint keys is plain float addition — this direct assembly is
-    # bit-identical to the fold it replaces
-    total = Breakdown(
-        {
-            GATHER_STEP: spawn + max(gather_ts),
-            MULTIPLY_STEP: max(multiply_ts),
-            SCATTER_STEP: max(scatter_ts) + max(finalize_ts),
-        }
+    stats = SpmspvStats(
+        grid=grid,
+        x_nnz=[blk.nnz for blk in x.blocks],
+        rows=[row_nnzs for _, row_nnzs in products],
+        out_nnz=[ly.nnz for ly, _ in products],
+        ncols=[a.layout.col_blocks.size_of(loc.col) for loc in grid],
+        traffic=traffic,
+        merged=[blk.nnz for blk in out_blocks],
+        repairs=repairs,
     )
-    if faults is not None:
+    return DistSparseVector(a.ncols, grid, out_blocks), stats
+
+
+class SpmspvBill:
+    """The bill of Listing 8 over :class:`SpmspvStats`, axis by axis.
+
+    :meth:`gather`, :meth:`multiply` and :meth:`scatter` charge one
+    component each for one mode; :meth:`bill` assembles the kernel's
+    Breakdown from them.  With ``run=True`` it is the executing kernel's
+    bill: parts move through the metered transports under the machine's
+    fault plan, straggler factors stretch the local multiplies, and each
+    locale's multiply seconds go to ``tasks.compute.seconds`` (call
+    :meth:`bill` once).  Otherwise it is pure — fault-free and
+    unmetered: the dispatcher's estimate.
+    """
+
+    def __init__(self, machine: Machine, stats: SpmspvStats, *, run: bool = False) -> None:
+        self.machine = machine
+        self.cfg = cfg = machine.config
+        self.stats = stats
+        self.threads = threads = machine.threads_per_locale
+        self.local = machine.oversubscribed
+        self.faults = machine.faults if run else None
+        self._run = run
+        self.spawn = coforall_spawn(cfg, machine.num_locales, machine.locales_per_node)
+        # each owner compacts its dense SPA slice back to sparse
+        self.finalize = max(
+            parallel_time(cfg, n * cfg.element_cost * machine.compute_penalty, threads)
+            for n in stats.merged
+        )
+        # every locale's row team: the remote parts' owners and sizes
+        pc = stats.grid.cols
+        self.teams = []
+        for k in range(stats.grid.size):
+            srcs = [t for t in range(k - k % pc, k - k % pc + pc) if t != k]
+            self.teams.append((srcs, [stats.x_nnz[t] for t in srcs]))
+
+    def gather(
+        self, mode: str, agg: AggregationConfig = AGG_DEFAULT
+    ) -> tuple[float, list[float]]:
+        """``Gather Input`` over ``mode``, and each locale's retry seconds."""
+        cfg, local, faults, run = self.cfg, self.local, self.faults, self._run
+        pc, site = self.stats.grid.cols, "spmspv_dist.gather"
+        seconds, retries = [], []
+        for k, (srcs, parts) in enumerate(self.teams):
+            # Listing 8 copies the locale's OWN part into lxDom too — a local
+            # memcpy that gives the 1-node gather its (small) measured cost
+            gt = bulk(cfg, self.stats.x_nnz[k] * _ITEMSIZE, local=True)
+            base, retry = 0.0, 0.0
+            if mode == "bulk":
+                for size, src in zip(parts, srcs):
+                    if not run:
+                        gt += bulk(cfg, size * _ITEMSIZE, local=local)
+                        continue
+                    part, extra = bulk_ft(
+                        cfg, size * _ITEMSIZE, faults=faults, site=f"{site}.bulk[{src}->{k}]",
+                        src=src, dst=k, local=local,
+                    )
+                    gt += part
+                    retry += extra
+            elif mode == "fine" and run:
+                base, retry = gather_parts_ft(
+                    cfg, parts, srcs, faults=faults, site=site, dst=k,
+                    threads=self.threads, concurrent_peers=pc, local=local,
+                )
+            elif mode == "fine":
+                base = gather_parts_fine(
+                    cfg, parts, threads=self.threads, concurrent_peers=pc, local=local
+                )
+            elif run:
+                # flush-batched streams from the row team: one buffer setup
+                # for the whole team, batch-granular retries
+                base, retry = gather_agg_ft(
+                    cfg, parts, srcs, faults=faults, site=site, dst=k, agg=agg, local=local
+                )
+            else:
+                base = gather_agg(cfg, parts, agg=agg, local=local)
+            seconds.append(gt + base)
+            retries.append(retry)
+        return self.spawn + max(seconds), retries
+
+    def multiply(self, sort: str) -> list[float]:
+        """Each locale's ``Local Multiply`` seconds under ``sort``."""
+        s = self.stats
+        out = []
+        for k, (rows, nnz, width) in enumerate(zip(s.rows, s.out_nnz, s.ncols)):
+            sec = spmspv_shm_cost(
+                self.machine, row_nnzs=rows, out_nnz=nnz, ncols=width, sort=sort
+            ).total
+            if self._run:
+                sec = local_time_ft(
+                    sec, faults=self.faults, locale=k, site="spmspv_dist.multiply"
+                )
+            out.append(sec)
+        return out
+
+    def scatter(
+        self, mode: str, multiply: list[float], agg: AggregationConfig = AGG_DEFAULT
+    ) -> tuple[float, np.ndarray | None]:
+        """``Scatter output`` over ``mode`` given each locale's
+        :meth:`multiply` seconds (the aggregated exchange streams behind
+        them), and the exchange's per-locale retry seconds (``None`` for
+        the element-wise modes)."""
+        cfg, local, threads = self.cfg, self.local, self.threads
+        grid, traffic = self.stats.grid, self.stats.traffic
+        pr = grid.rows
+        remote = (traffic.sum(axis=1) - traffic.diagonal()).tolist()
+        retries = None
+        if mode == "fine":
+            seconds = [
+                fine_grained(cfg, n, threads=threads, concurrent_peers=pr, local=local)
+                for n in remote
+            ]
+        elif mode == "bulk":
+            seconds = [bulk_scatter_cost(cfg, pr, n, _ITEMSIZE) for n in remote]
+        else:
+            # two-hop destination-buffered exchange over the whole grid; each
+            # locale's transfer streams behind its local multiply, so only
+            # the exposed share (plus the pipeline-fill flush) hits the
+            # makespan
+            if self._run:
+                ex = exchange(
+                    cfg, grid, traffic, agg=agg, local=local, faults=self.faults,
+                    site="spmspv_dist.scatter",
+                )
+            else:
+                ex = exchange_cost(cfg, grid, traffic, agg=agg, local=local)
+            seconds = ex.send_seconds.tolist()
+            if agg.overlap:
+                for k, comm in enumerate(seconds):
+                    if comm > 0.0:
+                        startup = flush_startup(cfg, remote[k], agg=agg, local=local)
+                        seconds[k] = overlap_exposed(comm, multiply[k], startup)
+            retries = ex.retry_seconds
+        return max(seconds) + self.finalize, retries
+
+    def bill(
+        self,
+        gather_mode: str,
+        scatter_mode: str,
+        sort: str,
+        agg: AggregationConfig = AGG_DEFAULT,
+    ) -> Breakdown:
+        """The kernel's Breakdown for one (gather, scatter, sort) choice:
+        per component the max over locales; under a fault plan each
+        locale's gather, put and exchange repairs add up to ``Retries``."""
+        gather, retries = self.gather(gather_mode, agg)
+        multiply = self.multiply(sort)
+        scatter, exchanged = self.scatter(scatter_mode, multiply, agg)
+        total = Breakdown(
+            {GATHER_STEP: gather, MULTIPLY_STEP: max(multiply), SCATTER_STEP: scatter}
+        )
+        if self.faults is None:
+            return total
+        for k, extras in enumerate(self.stats.repairs or ()):
+            for extra in extras:
+                retries[k] += extra
+        if exchanged is not None:
+            retries = [r + float(e) for r, e in zip(retries, exchanged)]
         # robustness overhead is an explicit component (possibly 0.0), so
         # fault-free runs keep byte-identical breakdowns while fault runs
         # surface their retry bill next to the paper's components
-        total = total + Breakdown({RETRY_STEP: max(retry_ts)})
-    return y, machine.record("spmspv_dist", total)
+        return total + Breakdown({RETRY_STEP: max(retries)})
 
 
 def spmspv_dist_1d(

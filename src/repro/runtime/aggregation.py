@@ -66,7 +66,7 @@ __all__ = [
     "gather_agg_ft",
     "ExchangeCost",
     "exchange",
-    "two_hop_estimate",
+    "exchange_cost",
     "overlap_exposed",
     "split_exposed",
 ]
@@ -521,8 +521,27 @@ def exchange(
     Under fault injection every flush batch is a retriable, sequence-tagged
     transfer via :meth:`~repro.runtime.faults.FaultInjector.batched_transfer`:
     covered faults re-send whole batches (charged to ``Retries``) and the
-    payload reconstructs exactly.
+    payload reconstructs exactly.  Every stream is metered
+    (``agg.flush.batches``, ``agg.bytes``, ``agg.exchange.messages``);
+    :func:`exchange_cost` is the same bill, fault-free and unmetered.
     """
+    return _exchange(cfg, grid, counts, agg, local, faults, site, metered=True)
+
+
+def exchange_cost(
+    cfg: MachineConfig,
+    grid: LocaleGrid,
+    counts: np.ndarray,
+    *,
+    agg: AggregationConfig = AGG_DEFAULT,
+    local: bool = False,
+) -> ExchangeCost:
+    """The fault-free :func:`exchange` bill, pure: it draws no fault and
+    records no metric — what a cost model prices."""
+    return _exchange(cfg, grid, counts, agg, local, None, "", metered=False)
+
+
+def _exchange(cfg, grid, counts, agg, local, faults, site, *, metered) -> ExchangeCost:
     p = grid.size
     counts = np.asarray(counts, dtype=np.int64)
     if counts.shape != (p, p):
@@ -543,11 +562,11 @@ def exchange(
             return
         batches = num_flushes(n_elems, agg.flush_elems)
         cost = flush_cost(cfg, n_elems, agg=agg, local=local)
-        if batch_metrics:
+        if metered and batch_metrics:
             acc = pending.setdefault(leg, [0, 0])
             acc[0] += batches
             acc[1] += n_elems * agg.itemsize
-        else:
+        elif metered:
             _metrics.counter("agg.flush.batches").inc(batches, site="exchange", leg=leg)
             _metrics.counter("agg.bytes").inc(
                 n_elems * agg.itemsize, site="exchange", leg=leg
@@ -564,69 +583,34 @@ def exchange(
             send[k] += cost
         msgs[k] += batches
 
-    def _flush_pending() -> None:
-        for leg, (batches, nbytes) in pending.items():
-            _metrics.counter("agg.flush.batches").inc(
-                batches, site="exchange", leg=leg
-            )
-            _metrics.counter("agg.bytes").inc(nbytes, site="exchange", leg=leg)
-            _metrics.counter("agg.exchange.messages").inc(batches, leg=leg)
-
     if agg.routing == "direct":
         for s in range(p):
             for d in range(p):
                 _ship(s, int(counts[s, d]), s, d, "direct")
-        _flush_pending()
-        return ExchangeCost(send, retry, msgs)
-
-    # two-hop: row aggregation, then column forwarding.  Locale ids are
-    # row-major by construction (LocaleGrid: id == i*pc + j), so teams are
-    # index arithmetic instead of per-member grid lookups.
-    pc = grid.cols
-    mid_counts = default_pool.take((p, p), np.int64)
-    col_dest_ids = [np.arange(j2, p, pc) for j2 in range(pc)]
-    for loc in grid:
-        s = loc.id
-        row_base = loc.row * pc
-        for j2 in range(pc):
-            col_dests = col_dest_ids[j2]
-            vol = int(counts[s, col_dests].sum())
-            if vol == 0:
-                continue
-            mid = row_base + j2
-            _ship(s, vol, s, mid, "hop1")  # no-op when mid == s (own column)
-            mid_counts[mid, col_dests] += counts[s, col_dests]
-    for loc in grid:
-        m = loc.id
-        for d in range(loc.col, p, pc):
-            _ship(m, int(mid_counts[m, d]), m, d, "hop2")  # skips d == m
-    _flush_pending()
+    else:
+        # two-hop: row aggregation, then column forwarding.  Locale ids are
+        # row-major by construction (LocaleGrid: id == i*pc + j), so both
+        # legs' volumes are reshape-sums of the traffic matrix.
+        pr, pc = grid.rows, grid.cols
+        # hop 1: locale s ships everything bound for grid column j2 to its
+        # row-mate (i, j2) — a no-op for its own column
+        hop1 = counts.reshape(p, pr, pc).sum(axis=1).tolist()  # [s][j2]
+        # hop 2: row-mate (i, j) forwards to each d of grid column j what
+        # its whole row sent there — skipping d itself
+        hop2 = counts.reshape(pr, pc, p).sum(axis=1).tolist()  # [i][d]
+        for s in range(p):
+            row_base = s - s % pc
+            for j2, vol in enumerate(hop1[s]):
+                _ship(s, vol, s, row_base + j2, "hop1")
+        for m in range(p):
+            i, j = divmod(m, pc)
+            for d in range(j, p, pc):
+                _ship(m, hop2[i][d], m, d, "hop2")
+    for leg, (batches, nbytes) in pending.items():
+        _metrics.counter("agg.flush.batches").inc(batches, site="exchange", leg=leg)
+        _metrics.counter("agg.bytes").inc(nbytes, site="exchange", leg=leg)
+        _metrics.counter("agg.exchange.messages").inc(batches, leg=leg)
     return ExchangeCost(send, retry, msgs)
-
-
-def two_hop_estimate(
-    cfg: MachineConfig,
-    grid: LocaleGrid,
-    remote_elems: int,
-    *,
-    agg: AggregationConfig = AGG_DEFAULT,
-    local: bool = False,
-) -> float:
-    """Cheap closed-form estimate of one locale's two-hop exchange bill.
-
-    Every element transits twice (row hop + column hop) and the locale
-    issues at most ``(pc-1) + (pr-1)`` streams; used by the dispatch cost
-    model, which has counts but no per-destination breakdown.
-    """
-    if remote_elems <= 0:
-        return 0.0
-    bw = cfg.remote_bandwidth * (8.0 if local else 1.0)
-    hops = 2 if grid.rows > 1 and grid.cols > 1 else 1
-    streams = min(grid.cols - 1, remote_elems) + min(grid.rows - 1, remote_elems)
-    streams = max(streams, 1)
-    flushes = max(streams, hops * num_flushes(remote_elems, agg.flush_elems))
-    pack = hops * remote_elems * cfg.stream_cost
-    return pack + flushes * cfg.alpha + hops * remote_elems * agg.itemsize / bw
 
 
 # ---------------------------------------------------------------------------

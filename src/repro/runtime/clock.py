@@ -94,6 +94,7 @@ class CostLedger:
 
     def __init__(self) -> None:
         self.entries: list[tuple[str, Breakdown]] = []
+        self._summed = (0, 0.0)  # (entries summed so far, their sum)
 
     def record(self, label: str, breakdown: Breakdown) -> None:
         """Append one operation's breakdown under ``label``."""
@@ -101,8 +102,15 @@ class CostLedger:
 
     @property
     def total(self) -> float:
-        """End-to-end simulated time across all recorded operations."""
-        return sum(b.total for _, b in self.entries)
+        """End-to-end simulated time across all recorded operations: the
+        entries summed in order, extended from the previous call's sum."""
+        n, total = self._summed
+        if n > len(self.entries):
+            n, total = 0, 0.0
+        for _, b in self.entries[n:]:
+            total += b.total
+        self._summed = (len(self.entries), total)
+        return total
 
     def by_label(self) -> dict[str, Breakdown]:
         """Aggregate breakdowns of entries sharing a label."""
@@ -118,6 +126,7 @@ class CostLedger:
     def reset(self) -> None:
         """Discard all recorded entries."""
         self.entries.clear()
+        self._summed = (0, 0.0)
 
     def __len__(self) -> int:
         return len(self.entries)

@@ -431,8 +431,11 @@ class FaultInjector:
         seq = np.arange(n, dtype=np.int64)
         # first pass: survivors arrive once, doubled elements arrive twice
         first_pass = np.concatenate([seq[~dropped], seq[doubled]])
-        # receiver de-duplicates by sequence tag
-        observed = np.unique(first_pass)
+        # receiver de-duplicates by sequence tag (the sparse layer sits
+        # above the runtime, hence the late import)
+        from ..sparse.sort import unique_sorted
+
+        observed = unique_sorted(first_pass)
         # sender times out on the missing acks and re-sends exactly those
         final = np.sort(np.concatenate([observed, seq[dropped]]))
         overhead = 0.0

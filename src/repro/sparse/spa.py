@@ -18,6 +18,7 @@ import numpy as np
 
 from ..algebra.monoid import Monoid, PLUS_MONOID
 from ..algebra.semiring import Semiring
+from .sort import unique_sorted
 from .vector import SparseVector
 
 __all__ = ["SPA"]
@@ -156,7 +157,7 @@ class SPA:
     def check(self) -> None:
         """Raise ``AssertionError`` if internal bookkeeping is inconsistent."""
         slots = self._nzinds[: self._k]
-        assert np.unique(slots).size == slots.size, "duplicate slots in nzinds"
+        assert unique_sorted(slots).size == slots.size, "duplicate slots in nzinds"
         assert self.isthere[slots].all(), "nzinds points at unoccupied slot"
         assert self.isthere.sum() == self._k, "isthere count mismatch"
 

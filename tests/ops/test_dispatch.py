@@ -15,7 +15,7 @@ from repro.ops.dispatch import (
     PUSH_SORTBASED,
     Dispatcher,
 )
-from repro.ops.spmspv import spmspv_shm
+from repro.ops.spmspv import spmspv_shm, spmspv_shm_cost
 from repro.runtime import CostLedger, LocaleGrid, Machine, Trace, shared_machine
 from repro.runtime.epoch import bump_epoch
 from repro.sparse.csr import CSRMatrix
@@ -55,6 +55,29 @@ class TestDecisions:
         est = disp.estimate_vxm(a, x)
         assert set(est) == set(PUSH_KERNELS) | {PULL}
         assert all(v > 0 for v in est.values())
+
+    def test_masked_output_estimate_counts_the_mask_once(self):
+        """The collision model takes the unmasked products and the allowed
+        count: 120 000 products over 50 000 columns with 75 allowed hit
+        ⌊75·(1 − e^−2.4)⌋ = 68 outputs, not 1."""
+        rng = np.random.default_rng(0)
+        nrows, ncols, per_row = 1000, 50_000, 120
+        cols = np.concatenate(
+            [np.sort(rng.choice(ncols, per_row, replace=False)) for _ in range(nrows)]
+        )
+        rowptr = np.arange(0, nrows * per_row + 1, per_row)
+        a = CSRMatrix(nrows, ncols, rowptr, cols, np.ones(cols.size))
+        x = SparseVector(nrows, np.arange(nrows), np.ones(nrows))
+        mask = np.zeros(ncols, dtype=bool)
+        mask[rng.choice(ncols, 75, replace=False)] = True
+        m = _machine()
+        est = Dispatcher(m).estimate_vxm(a, x, mask=mask)
+        rows = np.full(nrows, per_row)
+        for name, sort in ((PUSH_MERGE, "merge"), (PUSH_RADIX, "radix")):
+            want = spmspv_shm_cost(m, row_nnzs=rows, out_nnz=68, ncols=ncols, sort=sort)
+            assert est[name] == want.total, name
+        y, _ = spmspv_shm(a, x, m, mask=mask)
+        assert 55 <= y.nnz <= 75
 
     def test_auto_picks_the_argmin(self):
         a, x = _workload()

@@ -16,7 +16,9 @@ from repro.ops import (
     ewisemult_sparse_dense,
     ewisemult_vv,
 )
+from repro.ops.ewise import ewisemult_sd_cost
 from repro.runtime import LocaleGrid, Machine, shared_machine
+from repro.runtime.telemetry import registry as tm
 from repro.sparse import CSRMatrix, DenseVector, SparseVector
 
 
@@ -124,6 +126,27 @@ class TestDistributed:
             )
             return b.total
         assert run(1) / run(64) < 8.0
+
+    def test_compute_counter_grows_by_the_locales_real_seconds(self):
+        """``tasks.compute.seconds`` gains each locale's filter seconds,
+        not 1.0 per locale."""
+        x = random_sparse_vector(4_000, nnz=900, seed=15)
+        y = random_bool_dense(4_000, seed=16)
+        grid = LocaleGrid.for_count(16)
+        m = Machine(grid=grid, threads_per_locale=4)
+        xd = DistSparseVector.from_global(x, grid)
+        yd = DistDenseVector.from_global(y, grid)
+        registry = tm.MetricsRegistry()
+        previous = tm.set_default_registry(registry)
+        try:
+            zd, _ = ewisemult_dist(xd, yd, LAND, m)
+            delta = registry.counter("tasks.compute.seconds").total()
+        finally:
+            tm.set_default_registry(previous)
+        expected = sum(
+            ewisemult_sd_cost(m, xb.nnz, zb.nnz).total for xb, zb in zip(xd.blocks, zd.blocks)
+        )
+        assert delta == pytest.approx(expected, rel=1e-12)
 
     def test_grid_mismatch_raises(self):
         x = DistSparseVector.empty(10, LocaleGrid(1, 2))

@@ -31,7 +31,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.algebra.semiring import MIN_PLUS, PLUS_TIMES
-from repro.distributed import DistSparseMatrix, DistSparseVector
+from repro.distributed import DistSparseMatrix
 from repro.generators import erdos_renyi, random_sparse_vector
 from repro.ops.dispatch import Dispatcher, PlanCache, nnz_bucket
 from repro.runtime import (
@@ -172,18 +172,17 @@ class TestDispatcherCaching:
     def test_descriptor_change_invalidates(self):
         """A different AggregationConfig is a different key — tuning the
         exchange layer can never replay a plan priced for other tuning."""
-        a, x = _workload(n=64)
+        a, _ = _workload(n=64)
         grid = LocaleGrid.for_count(4)
         m = Machine(grid=grid, threads_per_locale=2, ledger=CostLedger())
         d = Dispatcher(m)
         ad = DistSparseMatrix.from_global(a, grid)
-        xd = DistSparseVector.from_global(x, grid)
         with fastpath.force(True):
-            d.vxm_dist(ad, xd, agg=AGG_DEFAULT)
+            d.mxm_dist(ad, ad, agg=AGG_DEFAULT)
             m0 = d.plan_cache.stats()["misses"]
-            d.vxm_dist(ad, xd, agg=AGG_DEFAULT)  # hit
+            d.mxm_dist(ad, ad, agg=AGG_DEFAULT)  # hit
             assert d.plan_cache.stats()["misses"] == m0
-            d.vxm_dist(ad, xd, agg=AGG_DEFAULT.with_(flush_elems=128))
+            d.mxm_dist(ad, ad, agg=AGG_DEFAULT.with_(flush_elems=128))
             assert d.plan_cache.stats()["misses"] == m0 + 1
 
     def test_matrix_identity_anchor_prevents_stale_replay(self):
@@ -264,7 +263,7 @@ class TestDispatcherCaching:
         """Retry repair charges are part of the ledger; replaying a cached
         plan during a fault storm must not change a single one of them."""
         plan, policy = setup
-        a, x = _workload(n=48, d=3, nnz=10, seed=data.draw(st.integers(0, 5)))
+        a, _ = _workload(n=48, d=3, nnz=10, seed=data.draw(st.integers(0, 5)))
         grid = LocaleGrid.for_count(4)
 
         def run(flag):
@@ -276,16 +275,16 @@ class TestDispatcherCaching:
             )
             d = Dispatcher(m)
             ad = DistSparseMatrix.from_global(a, grid)
-            xd = DistSparseVector.from_global(x, grid)
             with fastpath.force(flag):
-                y, _ = d.vxm_dist(ad, xd, semiring=MIN_PLUS)
-                y, _ = d.vxm_dist(ad, xd, semiring=MIN_PLUS)  # cached replay
-            return y.gather(faults=m.faults), m.ledger.total
+                c, _ = d.mxm_dist(ad, ad, semiring=MIN_PLUS)
+                c, _ = d.mxm_dist(ad, ad, semiring=MIN_PLUS)  # cached replay
+            return c.gather(faults=m.faults), m.ledger.total
 
-        (y_ref, t_ref) = run(False)
-        (y_fast, t_fast) = run(True)
-        assert np.array_equal(y_ref.indices, y_fast.indices)
-        assert np.array_equal(y_ref.values, y_fast.values)
+        (c_ref, t_ref) = run(False)
+        (c_fast, t_fast) = run(True)
+        assert np.array_equal(c_ref.rowptr, c_fast.rowptr)
+        assert np.array_equal(c_ref.colidx, c_fast.colidx)
+        assert np.array_equal(c_ref.values, c_fast.values)
         assert t_ref == t_fast
 
 
@@ -345,19 +344,18 @@ class TestEpochInvalidation:
         assert np.array_equal(y1.values, y2.values)
 
     def test_dist_epoch_bump_invalidates(self):
-        a, x = _workload(n=64)
+        a, _ = _workload(n=64)
         grid = LocaleGrid.for_count(4)
         m = Machine(grid=grid, threads_per_locale=2, ledger=CostLedger())
         d = Dispatcher(m)
         ad = DistSparseMatrix.from_global(a, grid)
-        xd = DistSparseVector.from_global(x, grid)
         with fastpath.force(True):
-            d.vxm_dist(ad, xd)
-            d.vxm_dist(ad, xd)
+            d.mxm_dist(ad, ad)
+            d.mxm_dist(ad, ad)
             s0 = d.plan_cache.stats()
             assert s0["hits"] == 1
             bump_epoch(ad)
-            d.vxm_dist(ad, xd)
+            d.mxm_dist(ad, ad)
             s1 = d.plan_cache.stats()
         assert s1["misses"] == s0["misses"] + 1
         assert s1["hits"] == s0["hits"]

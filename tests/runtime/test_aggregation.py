@@ -25,6 +25,7 @@ from repro.runtime.aggregation import (
     AggregationConfig,
     ceil_div,
     exchange,
+    exchange_cost,
     flush_cost,
     flush_startup,
     gather_agg,
@@ -33,10 +34,10 @@ from repro.runtime.aggregation import (
     num_flushes,
     overlap_exposed,
     split_exposed,
-    two_hop_estimate,
 )
 from repro.runtime.comm import fine_grained, gather_parts_fine
 from repro.runtime.faults import RetryExhausted
+from repro.runtime.telemetry import registry as tm
 from tests.strategies import PROFILE
 
 
@@ -124,6 +125,28 @@ class TestFlushBuffers:
         assert gather_agg(EDISON, [0, 0]) == 0.0
 
 
+def _two_hop_reference(cfg, grid, counts):
+    """Two-hop send seconds and messages, one stream slice at a time."""
+    p, pc = grid.size, grid.cols
+    send, msgs = np.zeros(p), np.zeros(p, np.int64)
+    mid = np.zeros((p, p), np.int64)
+
+    def ship(k, n, dst):
+        if n > 0 and k != dst:
+            send[k] += flush_cost(cfg, n)
+            msgs[k] += num_flushes(n, AGG_DEFAULT.flush_elems)
+
+    for s in range(p):
+        for j2 in range(pc):
+            dests = np.arange(j2, p, pc)
+            ship(s, int(counts[s, dests].sum()), s - s % pc + j2)
+            mid[s - s % pc + j2, dests] += counts[s, dests]
+    for m in range(p):
+        for d in range(m % pc, p, pc):
+            ship(m, int(mid[m, d]), d)
+    return send, msgs
+
+
 class TestExchange:
     def test_two_hop_message_bound(self):
         """Each locale sends at most (pc-1)+(pr-1) flush streams however
@@ -155,17 +178,33 @@ class TestExchange:
         with pytest.raises(ValueError, match="counts"):
             exchange(EDISON, LocaleGrid(2, 2), np.zeros((3, 3), dtype=np.int64))
 
-    def test_two_hop_estimate_tracks_exchange(self):
+    @pytest.mark.parametrize("shape", [(4, 4), (2, 8)])
+    def test_two_hop_volumes_match_per_stream_reference(self, shape):
+        """The leg volumes are reshape-sums of the traffic matrix: bit for
+        bit the per-stream slicing loop, on 50 random traffic matrices."""
+        grid = LocaleGrid(*shape)
+        for seed in range(50):
+            rng = np.random.default_rng(seed)
+            counts = rng.integers(0, 9000, (16, 16)) * (rng.random((16, 16)) < 0.6)
+            ex = exchange_cost(EDISON, grid, counts)
+            send, msgs = _two_hop_reference(EDISON, grid, counts)
+            assert ex.send_seconds.tolist() == send.tolist()
+            assert ex.messages.tolist() == msgs.tolist()
+            assert not ex.retry_seconds.any()
+
+    def test_pure_cost_is_the_unmetered_fault_free_exchange(self):
         grid = LocaleGrid(4, 4)
-        p = grid.size
-        counts = np.full((p, p), 200, dtype=np.int64)
-        np.fill_diagonal(counts, 0)
-        ex = exchange(EDISON, grid, counts)
-        est = two_hop_estimate(EDISON, grid, int(counts[0].sum()))
-        # hop-2 forwarding merges a whole grid row's traffic, so one
-        # locale's actual send time exceeds its first-hop-only share; the
-        # closed form must land within the same order of magnitude
-        assert est / 5 <= ex.send_seconds.max() <= est * 5
+        counts = np.random.default_rng(7).integers(0, 5000, (16, 16))
+        registry = tm.MetricsRegistry()
+        previous = tm.set_default_registry(registry)
+        try:
+            pure = exchange_cost(EDISON, grid, counts).send_seconds.tolist()
+            assert registry.snapshot() == tm.MetricsRegistry().snapshot()
+            metered = exchange(EDISON, grid, counts).send_seconds.tolist()
+        finally:
+            tm.set_default_registry(previous)
+        assert pure == metered
+        assert registry.counter("agg.exchange.messages").total() > 0
 
     def test_faulted_exchange_deterministic(self):
         grid = LocaleGrid(2, 3)

@@ -240,7 +240,8 @@ def test_service_lint_allows_whitelisted_spellings():
 
 
 # ---------------------------------------------------------------------------
-# sparse layer: one module decides how (row, col) triples are ordered
+# sparse layer: one module decides how (row, col) triples are ordered, and
+# how integer keys are deduplicated
 # ---------------------------------------------------------------------------
 
 SRC_DIR = Path(__file__).resolve().parent.parent / "src" / "repro"
@@ -282,18 +283,76 @@ def test_lexsort_lint_catches_every_spelling():
     assert _lexsort_calls(ast.parse("np.argsort(k, kind='stable')\n")) == []
 
 
+#: the keywords that make ``np.unique`` more than a dedup
+UNIQUE_EXTRAS = {"return_index", "return_inverse", "return_counts"}
+
+
+def _plain_unique_calls(tree: ast.AST) -> list[int]:
+    """Line numbers of ``np.unique(...)`` / ``numpy.unique(...)`` calls that
+    ask for no ``return_index``/``return_inverse``/``return_counts`` —
+    numpy 2's hash-based path, where ``sparse.sort.unique_sorted`` is one
+    sort."""
+    lines = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        fn = node.func
+        if not (
+            isinstance(fn, ast.Attribute)
+            and fn.attr == "unique"
+            and isinstance(fn.value, ast.Name)
+            and fn.value.id in ("np", "numpy")
+        ):
+            continue
+        if not {kw.arg for kw in node.keywords} & UNIQUE_EXTRAS:
+            lines.append(node.lineno)
+    return lines
+
+
+def test_no_plain_np_unique_in_src():
+    """Plain dedups go through ``sparse.sort.unique_sorted``."""
+    bad = [
+        f"{path.relative_to(SRC_DIR)}:{line}"
+        for path in sorted(SRC_DIR.rglob("*.py"))
+        for line in _plain_unique_calls(ast.parse(path.read_text(), filename=str(path)))
+    ]
+    assert not bad, "call sparse.sort.unique_sorted instead of np.unique:\n  " + "\n  ".join(bad)
+
+
+def test_unique_lint_catches_every_spelling():
+    for src in ("np.unique(k)\n", "numpy.unique(np.concatenate([a, b]))\n"):
+        assert _plain_unique_calls(ast.parse(src)) == [1], src
+    for src in (
+        "np.unique(k, return_index=True)\n",
+        "np.unique(k, return_inverse=True)\n",
+        "numpy.unique(k, return_counts=True)\n",
+        "unique_sorted(k)\n",
+    ):
+        assert _plain_unique_calls(ast.parse(src)) == [], src
+
+
 # ---------------------------------------------------------------------------
-# dispatch: SpGEMM pricing evaluates the kernels' bills, it writes none
+# dispatch: distributed pricing evaluates the kernels' bills, it writes none
 # ---------------------------------------------------------------------------
 
 #: the runtime cost primitives a bill is made of
 COST_PRIMITIVES = frozenset(
-    {"bulk", "flush_cost", "flush_startup", "overlap_exposed", "parallel_time", "coforall_spawn"}
+    {
+        "bulk", "flush_cost", "flush_startup", "overlap_exposed", "parallel_time",
+        "coforall_spawn", "fine_grained", "gather_parts_fine", "gather_agg", "sort_time",
+        "exchange", "two_hop_estimate", "bulk_scatter_cost", "spmspv_shm_cost",
+    }
 )
 
 #: the dispatcher's SpGEMM pricing path: predict statistics, then evaluate
 #: ``SummaSchedule`` / ``gathered_bill``
 SPGEMM_PRICING = ("estimate_mxm_dist", "_mxm_dist_stats")
+
+#: the dispatcher's SpMSpV pricing path: predict statistics, then evaluate
+#: ``SpmspvBill``
+SPMSPV_PRICING = ("estimate_vxm_dist", "_vxm_dist_stats")
+
+DIST_PRICING = SPGEMM_PRICING + SPMSPV_PRICING
 
 
 def _primitive_calls(tree: ast.AST) -> list[str]:
@@ -318,10 +377,10 @@ def _method(tree: ast.AST, cls: str, name: str) -> ast.FunctionDef:
     raise AssertionError(f"{cls}.{name} not found")
 
 
-def _pricing_violations(tree: ast.AST) -> list[str]:
+def _pricing_violations(tree: ast.AST, names=DIST_PRICING) -> list[str]:
     return [
         f"Dispatcher.{name} calls {call}"
-        for name in SPGEMM_PRICING
+        for name in names
         for call in _primitive_calls(_method(tree, "Dispatcher", name))
     ]
 
@@ -329,25 +388,42 @@ def _pricing_violations(tree: ast.AST) -> list[str]:
 def test_spgemm_pricing_calls_no_cost_primitive():
     """One SpGEMM cost formula: the estimate is the kernels' own bill."""
     tree = ast.parse((SRC_DIR / "ops" / "dispatch.py").read_text())
-    bad = _pricing_violations(tree)
+    bad = _pricing_violations(tree, SPGEMM_PRICING)
     assert not bad, "price through ops.mxm_dist / ops.matrix_dist bills:\n  " + "\n  ".join(bad)
 
 
+def test_spmspv_pricing_calls_no_cost_primitive():
+    """One SpMSpV cost formula: the estimate is the kernel's own bill."""
+    tree = ast.parse((SRC_DIR / "ops" / "dispatch.py").read_text())
+    bad = _pricing_violations(tree, SPMSPV_PRICING)
+    assert not bad, "price through the ops.spmspv bill:\n  " + "\n  ".join(bad)
+
+
+def _planted(**bodies: str) -> str:
+    """A ``Dispatcher`` whose pricing methods return the given bodies."""
+    methods = "".join(
+        f"    def {name}(self):\n        return {bodies.get(name, 'None')}\n"
+        for name in DIST_PRICING
+    )
+    return "class Dispatcher:\n" + methods
+
+
 def test_pricing_lint_catches_a_planted_call():
-    for call in ("bulk(cfg, n)", "aggregation.flush_cost(cfg, n)", "parallel_time(cfg, w, t)"):
-        planted = (
-            "class Dispatcher:\n"
-            "    def estimate_mxm_dist(self):\n"
-            f"        return {call}\n"
-            "    def _mxm_dist_stats(self):\n"
-            "        return None\n"
-        )
-        assert len(_pricing_violations(ast.parse(planted))) == 1, call
-    clean = (
-        "class Dispatcher:\n"
-        "    def estimate_mxm_dist(self):\n"
-        "        return SummaSchedule(m, s).bill('bulk').total\n"
-        "    def _mxm_dist_stats(self):\n"
-        "        return _expected_out_nnz(4, 2)\n"
+    for name in DIST_PRICING:
+        for call in (
+            "bulk(cfg, n)",
+            "aggregation.flush_cost(cfg, n)",
+            "parallel_time(cfg, w, t)",
+            "spmspv_shm_cost(m, row_nnzs=r, out_nnz=1, ncols=4)",
+            "aggregation.exchange(cfg, grid, counts)",
+            "sort_time(cfg, n, t)",
+        ):
+            planted = _planted(**{name: call})
+            assert len(_pricing_violations(ast.parse(planted))) == 1, (name, call)
+    clean = _planted(
+        estimate_mxm_dist="SummaSchedule(m, s).bill('bulk').total",
+        _mxm_dist_stats="_expected_out_nnz(4, 2)",
+        estimate_vxm_dist="SpmspvBill(m, s).gather('agg')[0]",
+        _vxm_dist_stats="chunk_sizes(8, 4) * 2.0",
     )
     assert _pricing_violations(ast.parse(clean)) == []
