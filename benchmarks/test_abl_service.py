@@ -23,7 +23,7 @@ from repro.bench.ablations import (
 )
 from repro.bench.harness import Series
 from repro.bench.schema import dump_bench
-from repro.algorithms import bfs_levels_batch
+from repro.algorithms import bfs_levels_batch, sssp_batch
 from repro.exec import ShmBackend
 
 from _common import RESULTS_DIR, emit
@@ -66,6 +66,15 @@ def test_advantage_grows_with_concurrency(payload):
         ]
         assert all(r is not None for r in ratios)
         assert ratios == sorted(ratios), (algo, ratios)
+
+
+def test_batched_bfs_wall_floor(payload):
+    """The wall floor that holds: from 8 concurrent sources a coalesced BFS
+    takes no more wall time than its sources run one at a time.  SSSP's
+    walls are reported in the payload, not gated."""
+    for ns in (s for s in SERVICE_SOURCE_SWEEP if s >= 8):
+        row = payload["results"]["batching"][f"bfs/s{ns}"]
+        assert row["wall_batched_s"] <= row["wall_sequential_s"], row
 
 
 def test_cache_hit_is_free(payload):
@@ -116,3 +125,13 @@ def test_write_bench_json(payload, benchmark):
     h = b.matrix(a)
     sources = np.arange(8, dtype=np.int64)
     benchmark(lambda: bfs_levels_batch(h, sources, backend=b))
+
+
+def test_track_sssp_batch(benchmark):
+    """The SSSP twin of the BFS tracker: the delta-frontier multi-source
+    core under pytest-benchmark, on the same graph and sources."""
+    a = service_workload()
+    b = ShmBackend()
+    h = b.matrix(a)
+    sources = np.arange(8, dtype=np.int64)
+    benchmark(lambda: sssp_batch(h, sources, backend=b))

@@ -9,8 +9,9 @@ over the distributed backend (min is associative, so results are
 bit-identical across backends); each relaxation is recorded under an
 ``sssp[iter=k]:`` ledger prefix.
 
-:func:`sssp_batch` is the multi-source form: the distance state of many
-sources stacks into one sparse matrix and each round is one ``mxm``.
+:func:`sssp_batch` is the multi-source form: the distances of many
+sources are one dense host array, and each round is one ``mxm`` of the
+distances that improved in the previous round (the delta frontier).
 """
 
 from __future__ import annotations
@@ -76,17 +77,20 @@ def sssp(
 def sssp_batch(
     a: CSRMatrix, sources: np.ndarray, *, backend: Backend | None = None
 ) -> np.ndarray:
-    """Distances from every source at once: Bellman–Ford on a state matrix.
+    """Distances from every source at once: delta-frontier Bellman–Ford.
 
-    The distance state is a sparse ``len(sources) × n`` matrix on the
-    tropical semiring (absent = +inf, the sources' own zeros stored
-    explicitly); each round is ``D ← D min (D ⊗ A)`` — one ``mxm`` with
-    ``accum=MIN`` folding the previous state, run to the fixpoint or
-    ``n-1`` rounds.  Returns a dense float array with ``inf`` for
-    unreachable vertices.  Every candidate distance is one ``d[u] + w``
-    term folded with ``min`` (order-free over floats), so row ``i`` is
-    bit-identical to ``sssp(a, sources[i])``.  Negative cycles are not
-    detected.
+    The distances live in a dense ``len(sources) × n`` host array
+    (``inf`` = unreachable).  Each round multiplies only a sparse frontier
+    matrix Δ of the entries that improved in the previous round (round 0:
+    the sources at 0.0) — ``Δ ⊗ A`` is one ``mxm`` on the tropical
+    semiring — gathers the candidates once, and folds them in with
+    ``min``; the entries whose value changed are the next Δ.  An entry
+    outside Δ already offered its ``d[u] + w`` candidates in an earlier
+    round, and ``min`` is exact and order-free over floats, so every round
+    yields the same distances as the full-state ``D ← D min (D ⊗ A)``: row
+    ``i`` is bit-identical to ``sssp(a, sources[i])``, and the run stops
+    after the same round (an empty Δ, or ``n-1`` rounds).  Negative
+    cycles are not detected.
     """
     b = backend or ShmBackend()
     am = b.matrix(a)
@@ -97,24 +101,19 @@ def sssp_batch(
     if sources.size and (sources.min() < 0 or sources.max() >= n):
         raise IndexError(f"source outside [0, {n})")
     ns = sources.size
-    if ns == 0:
-        return np.full((0, n), np.inf)
-    d = b.matrix(
-        CSRMatrix.from_triples(ns, n, np.arange(ns), sources, np.zeros(ns))
-    )
+    dist = np.full((ns, n), np.inf)
+    rows, cols, vals = np.arange(ns), sources, np.zeros(ns)
+    dist[rows, cols] = vals
     for it in range(max(n - 1, 1)):
-        with b.iteration("sssp_batch", it):
-            new = b.mxm(d, am, semiring=MIN_PLUS, accum=MIN, out=d)
-        dc, nc = b.to_csr(d), b.to_csr(new)
-        converged = (
-            np.array_equal(dc.rowptr, nc.rowptr)
-            and np.array_equal(dc.colidx, nc.colidx)
-            and np.array_equal(dc.values, nc.values)
-        )
-        d = new
-        if converged:
+        if not rows.size:
             break
-    dc = b.to_csr(d)
-    out = np.full((ns, n), np.inf)
-    out[dc.row_indices(), dc.colidx] = dc.values
-    return out
+        delta = b.matrix(CSRMatrix.from_triples(ns, n, rows, cols, vals))
+        with b.iteration("sssp_batch", it):
+            cand = b.to_csr(b.mxm(delta, am, semiring=MIN_PLUS))
+        rows, cols = cand.row_indices(), cand.colidx
+        old = dist[rows, cols]
+        new = MIN(old, cand.values)
+        changed = new != old
+        rows, cols, vals = rows[changed], cols[changed], new[changed]
+        dist[rows, cols] = vals
+    return dist

@@ -693,6 +693,7 @@ class Dispatcher:
         b: DistSparseMatrix,
         *,
         mask: DistSparseMatrix | None = None,
+        complement: bool = False,
         fused: bool = True,
         agg: AggregationConfig = AGG_DEFAULT,
     ) -> dict[str, float]:
@@ -707,7 +708,7 @@ class Dispatcher:
         unmetered, over the statistics :meth:`_mxm_dist_stats` predicts;
         a schedule's compute terms are shared by both transports.
         """
-        gathered, summa = self._mxm_dist_stats(a, b, mask=mask, fused=fused)
+        gathered, summa = self._mxm_dist_stats(a, b, mask=mask, complement=complement, fused=fused)
         est = {"gathered": gathered_bill(self.machine, *gathered).total}
         if summa is not None:
             for c in (1, *replication_factors(a.grid.rows)):
@@ -718,7 +719,13 @@ class Dispatcher:
         return est
 
     def _mxm_dist_stats(
-        self, a: DistSparseMatrix, b: DistSparseMatrix, *, mask, fused: bool
+        self,
+        a: DistSparseMatrix,
+        b: DistSparseMatrix,
+        *,
+        mask,
+        fused: bool,
+        complement: bool = False,
     ) -> tuple[tuple, SummaStats | None]:
         """The statistics the SpGEMM bills read, predicted from the
         operands: ``gathered``'s ``(a_nnz, b_nnz, flops, out_nnz)`` and, on
@@ -726,14 +733,17 @@ class Dispatcher:
 
         Block nnz and per-stage ``flops`` are exact; each stage product's
         size comes from the collision model over its output block, scaled
-        by a fused mask's density, and the post filter's scan from the same
-        model over the block's total flops.
+        by a fused mask's density (a complemented mask's: the share of cells
+        it leaves open), and the post filter's scan from the same model over
+        the block's total flops.
         """
         # fused structural mask: a product entry survives the prune with
-        # probability ≈ the mask's position density
+        # probability ≈ the share of output cells the mask admits
         mask_frac = 1.0
         if mask is not None and fused:
-            mask_frac = min(mask.nnz / max(a.nrows * b.ncols, 1), 1.0)
+            cells = a.nrows * b.ncols
+            admitted = cells - mask.nnz if complement else mask.nnz
+            mask_frac = min(admitted / max(cells, 1), 1.0)
         a_nnz = [blk.nnz for blk in a.blocks]
         b_nnz = [blk.nnz for blk in b.blocks]
         total_a, total_b = sum(a_nnz), sum(b_nnz)
@@ -816,7 +826,7 @@ class Dispatcher:
             raise ValueError("sparse SUMMA requires a square locale grid")
         fused = mask is not None and mask_mode == "fused"
         mask_key = (
-            None if mask is None else (nnz_bucket(mask.nnz), epoch_of(mask), fused)
+            None if mask is None else (nnz_bucket(mask.nnz), epoch_of(mask), fused, complement)
         )
         key = (
             "mxm_dist",
@@ -837,7 +847,9 @@ class Dispatcher:
         est = self._priced(
             key,
             anchors,
-            lambda: self.estimate_mxm_dist(a, b, mask=mask, fused=fused, agg=agg),
+            lambda: self.estimate_mxm_dist(
+                a, b, mask=mask, complement=complement, fused=fused, agg=agg
+            ),
         )
         forced = comm_mode != "auto" or variant != "auto"
         if not square or variant == "gathered":

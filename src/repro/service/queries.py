@@ -7,7 +7,7 @@ expansion is a single ``mxm`` against the adjacency — one kernel
 invocation, one communication round per level, shared across every
 query — instead of N independent vector sweeps each paying its own
 per-level latencies.  On completion each query's answer is row ``i`` of
-the state matrix.
+the core's dense ``N × n`` result (levels for BFS, distances for SSSP).
 
 The multi-source cores live with the algorithms
 (:func:`~repro.algorithms.bfs_levels_batch`,

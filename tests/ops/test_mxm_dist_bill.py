@@ -28,6 +28,7 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.algebra.semiring import PLUS_TIMES
@@ -42,6 +43,7 @@ from repro.runtime.aggregation import AGG_DEFAULT
 from repro.runtime.faults import FaultPlan, RetryPolicy
 from repro.runtime.tasks import parallel_time
 from repro.runtime.telemetry import registry as tm
+from repro.sparse.csr import CSRMatrix
 
 DATA = Path(__file__).with_name("data") / "mxm_dist_ledgers.json"
 
@@ -207,6 +209,37 @@ def test_predicted_flops_and_block_nnz_are_exact():
     assert predicted.a_nnz == measured.a_nnz
     assert predicted.b_nnz == measured.b_nnz
     assert predicted.flops == measured.flops
+
+
+def _explicit_complement(mask: DistSparseMatrix) -> DistSparseMatrix:
+    g = mask.gather()
+    open_cells = np.ones(g.shape, dtype=bool)
+    open_cells[g.row_indices(), g.colidx] = False
+    rows, cols = np.nonzero(open_cells)
+    return DistSparseMatrix.from_global(
+        CSRMatrix.from_triples(*g.shape, rows, cols, np.ones(rows.size)), mask.grid
+    )
+
+
+@pytest.mark.parametrize("p", (2, 4, 16))
+@pytest.mark.parametrize("fused", (True, False))
+def test_complemented_mask_priced_as_its_explicit_complement(p, fused):
+    """A complemented mask admits the cells it leaves open, so every
+    candidate costs what the same region given as an explicit mask does."""
+    grid, a, b, mask = _inputs(p)
+    d = Dispatcher(Machine(grid=grid, threads_per_locale=4, ledger=CostLedger()))
+    est = d.estimate_mxm_dist(a, b, mask=mask, complement=True, fused=fused)
+    assert est == d.estimate_mxm_dist(a, b, mask=_explicit_complement(mask), fused=fused)
+
+
+def test_plan_key_tells_a_complemented_mask_apart():
+    grid, a, b, mask = _inputs(16)
+    d = Dispatcher(Machine(grid=grid, threads_per_locale=4, ledger=CostLedger()))
+    d.mxm_dist(a, b, mask=mask)
+    d.mxm_dist(a, b, mask=mask, complement=True)
+    plain, complemented = d.decisions
+    assert complemented.estimates == d.estimate_mxm_dist(a, b, mask=mask, complement=True)
+    assert complemented.estimates != plain.estimates
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.algebra.functional import MIN
+from repro.algebra.semiring import MIN_PLUS
 from repro.algorithms import bfs_levels, bfs_levels_batch, sssp, sssp_batch
+from repro.bench.ablations import SERVICE_GRID_P, service_workload
 from repro.exec import DistBackend, ShmBackend
 from repro.generators import erdos_renyi
 from repro.runtime import CostLedger, FaultInjector, LocaleGrid, Machine
@@ -126,6 +129,91 @@ class TestMultiSourceCores:
         rect = CSRMatrix.from_triples(2, 3, [0], [1], [1.0])
         with pytest.raises(ValueError):
             sssp_batch(rect, np.array([0]), backend=b)
+
+
+def dense(g: CSRMatrix) -> np.ndarray:
+    out = np.full(g.shape, np.inf)
+    out[g.row_indices(), g.colidx] = g.values
+    return out
+
+
+def full_state_reference(b, am, sources) -> list[np.ndarray]:
+    """The full-state rounds the delta frontier replaces: ``D ← D min
+    (D ⊗ A)``, one ``mxm`` folding the whole state with ``accum=MIN``, to
+    the fixpoint.  Returns the dense state before every round, so it ran
+    ``len(states) - 1`` rounds and the last two states are equal."""
+    ns, n = len(sources), b.shape(am)[0]
+    d = b.matrix(CSRMatrix.from_triples(ns, n, np.arange(ns), sources, np.zeros(ns)))
+    states = [dense(b.to_csr(d))]
+    for _ in range(max(n - 1, 1)):
+        d = b.mxm(d, am, semiring=MIN_PLUS, accum=MIN, out=d)
+        states.append(dense(b.to_csr(d)))
+        if np.array_equal(states[-1], states[-2]):
+            break
+    return states
+
+
+def signed(a: CSRMatrix, seed: int) -> CSRMatrix:
+    """Zero and negative edge weights without a negative cycle: a
+    potential ``π`` reweights ``w₀ ≥ 0`` to ``w₀(u, v) + π(u) − π(v)``,
+    which keeps every cycle's total at its ``w₀`` total.  Quarters keep
+    the arithmetic exact, so no rounding can open a negative cycle."""
+    rng = np.random.default_rng(seed)
+    rows = a.row_indices()
+    pi = rng.integers(0, 12, a.nrows) / 4.0
+    w0 = rng.choice([0.0, 0.0, 0.25, 1.0, 2.5], a.nnz)
+    return CSRMatrix.from_triples(
+        a.nrows, a.ncols, rows, a.colidx, w0 + pi[rows] - pi[a.colidx]
+    )
+
+
+class TestSsspDeltaRounds:
+    """``sssp_batch`` multiplies only the distances that improved in the
+    previous round, and still runs exactly the full-state rounds."""
+
+    @pytest.mark.parametrize("ns", [1, 8, 16])
+    def test_each_round_multiplies_the_previous_rounds_changes(self, ns, monkeypatch):
+        a = service_workload()
+        sources = np.arange(ns, dtype=np.int64)
+        b = ShmBackend()
+        states = full_state_reference(b, b.matrix(a), sources)
+        operands = []
+        mxm = b.mxm
+
+        def spy(x, y, **kw):
+            operands.append(dense(b.to_csr(x)))
+            return mxm(x, y, **kw)
+
+        monkeypatch.setattr(b, "mxm", spy)
+        rows = sssp_batch(a, sources, backend=b)
+        np.testing.assert_array_equal(rows, states[-1])
+        assert len(operands) == len(states) - 1
+        np.testing.assert_array_equal(operands[0], states[0])
+        for k in range(1, len(operands)):
+            expected = np.where(states[k] != states[k - 1], states[k], np.inf)
+            np.testing.assert_array_equal(operands[k], expected)
+
+    @pytest.mark.parametrize("ns", [1, 8, 16])
+    def test_dist_ledger_below_the_full_state_rounds(self, ns):
+        a = service_workload()
+        sources = np.arange(ns, dtype=np.int64)
+        grid = LocaleGrid.for_count(SERVICE_GRID_P)
+        delta = dist_backend(grid)
+        sssp_batch(a, sources, backend=delta)
+        full = dist_backend(grid)
+        full_state_reference(full, full.matrix(a), sources)
+        assert delta.machine.ledger.total < full.machine.ledger.total
+
+    @pytest.mark.parametrize("p", [None, 1, 4, 6])
+    @pytest.mark.parametrize("seed", [3, 17, 29])
+    def test_zero_and_negative_weights_equal_sequential(self, p, seed):
+        a = signed(erdos_renyi(40, 3, seed=seed), seed=seed + 1)
+        assert (a.values == 0.0).any() and (a.values < 0.0).any()
+        b = ShmBackend() if p is None else dist_backend(LocaleGrid.for_count(p))
+        sources = np.array([0, 7, 7, 39, 21])
+        rows = sssp_batch(a, sources, backend=b)
+        for i, s in enumerate(sources):
+            np.testing.assert_array_equal(rows[i], reference("sssp", a, s))
 
 
 class TestServiceBatching:
