@@ -56,6 +56,14 @@ def test_batching_wins_at_depth(payload):
             ), row
 
 
+def test_one_source_batch_costs_the_single_run(payload):
+    """A batch of one runs the single-source vector kernels, not a one-row
+    SUMMA: at 1 source both sides bill exactly the same simulated time."""
+    for algo in ("bfs", "sssp"):
+        row = payload["results"]["batching"][f"{algo}/s1"]
+        assert row["batched_s"] == row["sequential_s"], row
+
+
 def test_advantage_grows_with_concurrency(payload):
     """More same-window sources amortize better: the speedup is
     monotonically nondecreasing along the sweep."""

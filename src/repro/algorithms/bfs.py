@@ -25,6 +25,7 @@ import numpy as np
 from ..algebra.semiring import MIN_FIRST, PLUS_PAIR
 from ..exec import Backend, ShmBackend
 from ..sparse.csr import CSRMatrix
+from ..sparse.sort import first_occurrences
 
 __all__ = [
     "bfs_levels",
@@ -245,6 +246,10 @@ def bfs_levels_batch(
     is level-synchronous — a vertex's level is the first expansion round
     that reaches it, however many sources share the round — so row ``i``
     is bit-identical to ``bfs_levels(a, sources[i])``.
+
+    A repeated source runs once.  One distinct source runs
+    ``bfs_levels``' masked SpMSpV, which moves only the frontier where a
+    one-row SUMMA broadcasts blocks of ``A`` every level.
     """
     b = backend or ShmBackend(machine)
     am = b.matrix(a)
@@ -252,6 +257,9 @@ def bfs_levels_batch(
     sources = np.asarray(sources, dtype=np.int64)
     if sources.size and (sources.min() < 0 or sources.max() >= n):
         raise IndexError(f"source outside [0, {n})")
+    sources, row = first_occurrences(sources)
+    if sources.size == 1:
+        return _bfs_levels_core(b, am, int(sources[0]), mode="push")[np.newaxis][row]
     ns = sources.size
     levels = np.full((ns, n), -1, dtype=np.int64)
     if ns == 0:
@@ -273,4 +281,4 @@ def bfs_levels_batch(
         frontier = b.matrix(
             CSRMatrix.from_triples(ns, n, rows, cols, np.ones(rows.size))
         )
-    return levels
+    return levels[row]

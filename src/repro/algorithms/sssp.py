@@ -11,7 +11,8 @@ bit-identical across backends); each relaxation is recorded under an
 
 :func:`sssp_batch` is the multi-source form: the distances of many
 sources are one dense host array, and each round is one ``mxm`` of the
-distances that improved in the previous round (the delta frontier).
+distances that improved in the previous round (the delta frontier).  A
+batch with one distinct source runs the single-source core.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from ..algebra.functional import MIN
 from ..algebra.semiring import MIN_PLUS
 from ..exec import Backend, ShmBackend
 from ..sparse.csr import CSRMatrix
+from ..sparse.sort import first_occurrences
 
 __all__ = ["sssp", "sssp_batch", "NegativeCycleError"]
 
@@ -91,6 +93,10 @@ def sssp_batch(
     ``i`` is bit-identical to ``sssp(a, sources[i])``, and the run stops
     after the same round (an empty Δ, or ``n-1`` rounds).  Negative
     cycles are not detected.
+
+    A repeated source runs once.  One distinct source runs ``sssp``'s
+    dense SpMV, which moves only the distances where a one-row SUMMA
+    broadcasts blocks of ``A`` every round.
     """
     b = backend or ShmBackend()
     am = b.matrix(a)
@@ -100,6 +106,10 @@ def sssp_batch(
     sources = np.asarray(sources, dtype=np.int64)
     if sources.size and (sources.min() < 0 or sources.max() >= n):
         raise IndexError(f"source outside [0, {n})")
+    sources, row = first_occurrences(sources)
+    if sources.size == 1:
+        dist = _sssp_core(b, am, int(sources[0]), check_negative_cycles=False)
+        return dist[np.newaxis][row]
     ns = sources.size
     dist = np.full((ns, n), np.inf)
     rows, cols, vals = np.arange(ns), sources, np.zeros(ns)
@@ -116,4 +126,4 @@ def sssp_batch(
         changed = new != old
         rows, cols, vals = rows[changed], cols[changed], new[changed]
         dist[rows, cols] = vals
-    return dist
+    return dist[row]

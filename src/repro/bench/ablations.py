@@ -827,12 +827,12 @@ def service_batching_sweep(a: CSRMatrix | None = None) -> dict:
     """Per (algo, concurrent sources): one coalesced multi-source run vs
     the same sources traversed one at a time.
 
-    Both sides run on the same distributed backend and ledger, so the
-    two costs are directly comparable slices of one simulated run (the
-    shared-memory kernels bill nothing and would make the comparison
-    vacuous).  ``exact`` records that every batched row matched its
-    sequential run bit-for-bit — the speedup is never bought with
-    approximation.
+    Each side runs on its own fresh distributed backend, so neither
+    inherits the other's transpose cache, and bills its own ledger (the
+    shared-memory backend bills only its dispatched ``vxm`` and
+    ``apply_updates``, so a batched ``mxm`` would cost nothing there).
+    ``exact`` records that every batched row matched its sequential run
+    bit-for-bit — the speedup is never bought with approximation.
     """
     from ..algorithms import sssp, sssp_batch
 
@@ -845,23 +845,22 @@ def service_batching_sweep(a: CSRMatrix | None = None) -> dict:
     out: dict[str, dict] = {}
     for algo in ("bfs", "sssp"):
         for ns in SERVICE_SOURCE_SWEEP:
-            backend = DistBackend(_service_machine())
-            ledger = backend.machine.ledger
-            handle = backend.matrix(a)
             sources = np.arange(ns, dtype=np.int64)
-            t0 = ledger.total
+            backend = DistBackend(_service_machine())
+            handle = backend.matrix(a)
             rows, wall_b = _timed(
                 lambda: batched_cores[algo](handle, sources, backend=backend)
             )
-            batched_s = ledger.total - t0
-            t0 = ledger.total
+            batched_s = backend.machine.ledger.total
+            backend = DistBackend(_service_machine())
+            handle = backend.matrix(a)
             exact = True
             wall_s = 0.0
             for i, s in enumerate(sources):
                 ref, w = _timed(lambda: singles[algo](backend, handle, int(s)))
                 wall_s += w
                 exact = exact and bool(np.array_equal(rows[i], ref))
-            sequential_s = ledger.total - t0
+            sequential_s = backend.machine.ledger.total
             out[f"{algo}/s{ns}"] = {
                 "sources": ns,
                 "batched_s": batched_s,

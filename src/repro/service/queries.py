@@ -11,7 +11,9 @@ the core's dense ``N × n`` result (levels for BFS, distances for SSSP).
 
 The multi-source cores live with the algorithms
 (:func:`~repro.algorithms.bfs_levels_batch`,
-:func:`~repro.algorithms.sssp_batch`); both are *bit-identical* per
+:func:`~repro.algorithms.sssp_batch`) and pick the kernel: a repeated
+source runs once, and one distinct source runs the single-source vector
+kernel, billing exactly its ledger.  Both are *bit-identical* per
 source to the sequential single-source algorithms, which the service's
 differential suite (``tests/service/``) pins on both backends, across
 locale grids and covered fault plans.

@@ -44,6 +44,7 @@ __all__ = [
     "stable_argsort_bounded",
     "row_major_order",
     "unique_sorted",
+    "first_occurrences",
 ]
 
 
@@ -62,6 +63,17 @@ def unique_sorted(keys: np.ndarray) -> np.ndarray:
     keep[0] = True
     np.not_equal(s[1:], s[:-1], out=keep[1:])
     return s[keep]
+
+
+def first_occurrences(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(distinct, inverse)`` with ``distinct[inverse] == keys``: the
+    distinct integer ``keys`` in first-occurrence order, sort-based."""
+    uniq = unique_sorted(keys)
+    slot = np.searchsorted(uniq, keys)
+    first = np.full(uniq.size, keys.size, dtype=np.int64)
+    np.minimum.at(first, slot, np.arange(keys.size))
+    kept = np.sort(first)
+    return keys[kept], np.searchsorted(kept, first[slot])
 
 
 def stable_argsort_bounded(keys: np.ndarray, bound: int) -> np.ndarray:

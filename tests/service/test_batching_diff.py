@@ -60,8 +60,8 @@ def dist_backend(grid, faults=None) -> DistBackend:
     )
 
 
-def reference(algo: str, a: CSRMatrix, source: int) -> np.ndarray:
-    b = ShmBackend()
+def reference(algo: str, a, source: int, backend=None) -> np.ndarray:
+    b = backend or ShmBackend()
     if algo == "bfs":
         return bfs_levels(a, source, backend=b)
     return sssp(a, source, check_negative_cycles=False, backend=b)
@@ -171,7 +171,7 @@ class TestSsspDeltaRounds:
     """``sssp_batch`` multiplies only the distances that improved in the
     previous round, and still runs exactly the full-state rounds."""
 
-    @pytest.mark.parametrize("ns", [1, 8, 16])
+    @pytest.mark.parametrize("ns", [2, 8, 16])
     def test_each_round_multiplies_the_previous_rounds_changes(self, ns, monkeypatch):
         a = service_workload()
         sources = np.arange(ns, dtype=np.int64)
@@ -214,6 +214,86 @@ class TestSsspDeltaRounds:
         rows = sssp_batch(a, sources, backend=b)
         for i, s in enumerate(sources):
             np.testing.assert_array_equal(rows[i], reference("sssp", a, s))
+
+
+CORES = {"bfs": bfs_levels_batch, "sssp": sssp_batch}
+
+
+def small_graph() -> CSRMatrix:
+    return weighted(erdos_renyi(64, 3, seed=7), seed=8)
+
+
+def ledger_rows(b, prefix: str = "") -> list[tuple[str, float]]:
+    """``(label, total)`` of every ledger row under ``prefix``, prefix cut."""
+    return [
+        (label[len(prefix):], bd.total)
+        for label, bd in b.machine.ledger.entries
+        if label.startswith(prefix)
+    ]
+
+
+class TestOneSourceBatch:
+    """A batch with one distinct source runs the single-source core — the
+    vector kernels, not a one-row SUMMA — and a repeated source runs once."""
+
+    @pytest.mark.parametrize("p", [None, 1, 4, 6])
+    @pytest.mark.parametrize("algo", ["bfs", "sssp"])
+    def test_calls_no_mxm_and_equals_the_single_run(self, algo, p, monkeypatch):
+        a = small_graph()
+        b = ShmBackend() if p is None else dist_backend(LocaleGrid.for_count(p))
+
+        def no_mxm(*args, **kw):
+            raise AssertionError("a one-source batch called mxm")
+
+        monkeypatch.setattr(b, "mxm", no_mxm)
+        rows = CORES[algo](a, np.array([5]), backend=b)
+        assert rows.shape == (1, a.nrows)
+        np.testing.assert_array_equal(rows[0], reference(algo, a, 5))
+
+    @pytest.mark.parametrize("p", [1, 4, 6])
+    @pytest.mark.parametrize("algo", ["bfs", "sssp"])
+    def test_dist_ledger_equals_the_single_run(self, algo, p):
+        a, grid = small_graph(), LocaleGrid.for_count(p)
+        batch, single = dist_backend(grid), dist_backend(grid)
+        CORES[algo](a, np.array([5]), backend=batch)
+        reference(algo, a, 5, backend=single)
+        assert ledger_rows(batch) and ledger_rows(batch) == ledger_rows(single)
+
+    @pytest.mark.parametrize(
+        "listed, distinct",
+        [([5, 5, 5], [5]), ([3, 3, 9], [3, 9]), ([9, 3, 9], [9, 3])],
+        ids=["5,5,5", "3,3,9", "9,3,9"],
+    )
+    @pytest.mark.parametrize("algo", ["bfs", "sssp"])
+    def test_repeated_sources_run_once(self, algo, listed, distinct):
+        a, grid = small_graph(), LocaleGrid.for_count(SERVICE_GRID_P)
+        rep, once = dist_backend(grid), dist_backend(grid)
+        rows = CORES[algo](a, np.array(listed), backend=rep)
+        CORES[algo](a, np.array(distinct), backend=once)
+        assert ledger_rows(rep) == ledger_rows(once)
+        for i, s in enumerate(listed):
+            np.testing.assert_array_equal(rows[i], reference(algo, a, s))
+
+    def test_service_solo_slices_equal_the_single_runs(self):
+        """Every solo run the service executes bills exactly the
+        single-source ledger, transpose-cache reuse included."""
+        a, grid = small_graph(), LocaleGrid.for_count(SERVICE_GRID_P)
+        b = dist_backend(grid)
+        svc = GraphQueryService(b, a, registry=MetricsRegistry())
+        queries = [("bfs", 5), ("sssp", 5), ("sssp", 40), ("bfs", 40)]
+        reqs = [
+            svc.submit("t", QuerySpec(algo, s), at=float(i))
+            for i, (algo, s) in enumerate(queries)
+        ]
+        svc.run()
+        ref = dist_backend(grid)
+        handle = ref.matrix(a)
+        for r in reqs:
+            assert r.via == "solo"
+            start = len(ref.machine.ledger.entries)
+            reference(r.query.algo, handle, r.query.source, backend=ref)
+            expected = ledger_rows(ref)[start:]
+            assert expected and ledger_rows(b, f"svc[req={r.id}]:") == expected
 
 
 class TestServiceBatching:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.sparse import merge_sort, merge_two, radix_sort
-from repro.sparse.sort import merge_sort_cost, radix_sort_cost
+from repro.sparse.sort import first_occurrences, merge_sort_cost, radix_sort_cost
 
 
 class TestMergeTwo:
@@ -100,6 +100,24 @@ class TestRadixSort:
     def test_agrees_with_merge_sort(self, xs):
         keys = np.array(xs, dtype=np.int64)
         assert np.array_equal(radix_sort(keys), merge_sort(keys))
+
+
+class TestFirstOccurrences:
+    def test_repeats_fold_in_first_occurrence_order(self):
+        distinct, inverse = first_occurrences(np.array([9, 3, 9, 1, 3]))
+        assert distinct.tolist() == [9, 3, 1]
+        assert inverse.tolist() == [0, 1, 0, 2, 1]
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(st.integers(-50, 50), max_size=60))
+    def test_agrees_with_np_unique(self, xs):
+        keys = np.array(xs, dtype=np.int64)
+        distinct, inverse = first_occurrences(keys)
+        _, first = np.unique(keys, return_index=True)
+        assert np.array_equal(distinct, keys[np.sort(first)])
+        assert np.array_equal(distinct[inverse], keys)
+        if len(set(xs)) == len(xs):  # no repeats: unchanged
+            assert np.array_equal(inverse, np.arange(keys.size))
 
 
 class TestCostModels:
