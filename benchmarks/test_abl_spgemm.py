@@ -4,8 +4,7 @@ The communication-avoiding extension's headline numbers: the replicated
 3-D×c schedules against the classic 2-D sparse SUMMA and the gathered
 fallback, across two Erdős–Rényi densities and one skewed R-MAT input;
 plus the mask-fusion column (fused per-stage pruning vs a post-hoc
-filter) on the triangle-counting product L·Lᵀ⟨L⟩, and the CSR-vs-DCSR
-format flip's cost-plane invisibility.
+filter) on the triangle-counting product L·Lᵀ⟨L⟩.
 
 The sweep lives in :mod:`repro.bench.ablations` (``run_spgemm``) so the
 perf-regression gate can re-run the identical measurement against the
@@ -57,9 +56,7 @@ def test_schedule_sweep_figures(payload):
             continue  # triangle: mask sweep only
         # only schedules legal on every swept grid share the x-axis
         # (c=16 needs q=4, so it appears at p=16 only — see the JSON)
-        labels = sorted(
-            set.intersection(*(set(r) for r in rows.values())) - {"formats"}
-        )
+        labels = sorted(set.intersection(*(set(r) for r in rows.values())))
         series = [
             Series(
                 label,
@@ -100,16 +97,6 @@ def test_nonsquare_grid_takes_gathered(payload):
     rows_, cols_ = payload["configs"]["nonsquare_grid"]
     row = payload["results"]["schedules"][f"er_sparse/grid{rows_}x{cols_}"]
     assert row["auto"]["chosen"] == "gathered"
-
-
-def test_dcsr_flip_invisible_to_cost_plane(payload):
-    """Re-running each row's best SUMMA schedule on DCSR blocks bills the
-    machine bit-identically — formats buy memory and wall clock, never a
-    different simulated schedule."""
-    for where, row in payload["results"]["schedules"].items():
-        if "formats" not in row:
-            continue
-        assert row["formats"]["dcsr_simulated_equal"], where
 
 
 def test_mask_fusion_strictly_cheaper(payload):

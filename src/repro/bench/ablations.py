@@ -506,13 +506,7 @@ def _spgemm_machine(grid: LocaleGrid) -> Machine:
 
 
 def spgemm_sweep(graphs=None, node_sweep=None) -> dict[str, dict]:
-    """Simulated A·A time per (workload, grid, schedule) row.
-
-    Each row also re-runs its cheapest SUMMA schedule on DCSR blocks and
-    records that the format flip is invisible to the cost plane
-    (``dcsr_simulated_equal`` — formats change memory and wall clock,
-    never the billed schedule) alongside the blockwise memory footprints.
-    """
+    """Simulated A·A time per (workload, grid, schedule) row."""
     graphs = spgemm_graphs() if graphs is None else graphs
     node_sweep = SPGEMM_NODE_SWEEP if node_sweep is None else node_sweep
     out = {}
@@ -532,19 +526,6 @@ def spgemm_sweep(graphs=None, node_sweep=None) -> dict[str, dict]:
                 "simulated_s": m.ledger.total,
                 "wall_s": wall,
                 "chosen": d.decisions[-1].chosen,
-            }
-            summa = {k: v for k, v in row.items() if k[0] in "23"}
-            best_label = min(summa, key=lambda k: summa[k]["simulated_s"])
-            md = _spgemm_machine(grid)
-            add = DistSparseMatrix.from_global(a, grid, block_format="dcsr")
-            Dispatcher(md).mxm_dist(add, add, **spgemm_variants(grid.rows)[best_label])
-            mb = _spgemm_machine(grid)
-            Dispatcher(mb).mxm_dist(ad, ad, **spgemm_variants(grid.rows)[best_label])
-            row["formats"] = {
-                "best_fixed": best_label,
-                "dcsr_simulated_equal": bool(md.ledger.total == mb.ledger.total),
-                "csr_memory_bytes": ad.memory_bytes(),
-                "dcsr_memory_bytes": add.memory_bytes(),
             }
             out[f"{name}/p{p}"] = row
     # the non-square grid: gathered is the sole candidate and auto takes it
@@ -640,7 +621,7 @@ def run_spgemm() -> dict:
         "schema_version": SCHEMA_VERSION,
         "bench": "spgemm",
         "description": "distributed SpGEMM schedules: 2-D vs 3-D×c SUMMA vs "
-        "gathered, CSR vs DCSR blocks, and mask fusion (fused vs post)",
+        "gathered, and mask fusion (fused vs post)",
         "node_sweep": SPGEMM_NODE_SWEEP,
         "configs": {
             "er_sparse": {"n": SPGEMM_ER_N, "deg": SPGEMM_ER_SPARSE_DEG},

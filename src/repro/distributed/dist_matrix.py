@@ -19,11 +19,6 @@ import numpy as np
 from ..runtime import fastpath
 from ..runtime.locale import LocaleGrid
 from ..sparse.csr import CSRMatrix
-from ..sparse.dcsr import DCSRMatrix
-from ..sparse.formats import (
-    HYPERSPARSE_RATIO, block_memory_bytes, choose_format, ensure_csr,
-    format_name,
-)
 from ..sparse.sort import stable_argsort_bounded
 from .block import Block1D, Block2D
 
@@ -117,21 +112,12 @@ def _partition_to_cells(
 
 @dataclass
 class DistSparseMatrix:
-    """A sparse matrix as a ``pr x pc`` grid of local blocks.
-
-    Blocks are CSR by default; at scale the per-block density goes
-    *hypersparse* (``nnz ≪ nrows`` — Buluç & Gilbert's blocked-CSR
-    collapse) and blocks may instead be stored doubly compressed
-    (:class:`~repro.sparse.dcsr.DCSRMatrix`).  The SpGEMM path
-    (:func:`~repro.ops.mxm.mxm`, sparse SUMMA) is polymorphic over both;
-    block format is pure storage — results and simulated ledgers are
-    bit-identical either way, the saving is memory and wall clock.
-    """
+    """A sparse matrix as a ``pr x pc`` grid of local CSR blocks."""
 
     nrows: int
     ncols: int
     grid: LocaleGrid
-    blocks: list[CSRMatrix | DCSRMatrix]  # row-major by grid cell
+    blocks: list[CSRMatrix]  # row-major by grid cell
 
     def __post_init__(self) -> None:
         if len(self.blocks) != self.grid.size:
@@ -140,45 +126,10 @@ class DistSparseMatrix:
             )
 
     @classmethod
-    def from_global(
-        cls, a: CSRMatrix, grid: LocaleGrid, *, block_format: str = "csr"
-    ) -> "DistSparseMatrix":
-        """Distribute a global CSR matrix 2-D block-wise over the grid.
-
-        ``block_format``: ``"csr"`` (every block CSR, the default),
-        ``"dcsr"`` (every block doubly compressed), or ``"auto"`` — each
-        block compresses exactly when the hypersparsity threshold
-        (:data:`~repro.sparse.formats.HYPERSPARSE_RATIO`) says its dense
-        row pointer would outweigh its entries.
-        """
-        if block_format not in ("csr", "dcsr", "auto"):
-            raise ValueError(f"unknown block_format {block_format!r}")
+    def from_global(cls, a: CSRMatrix, grid: LocaleGrid) -> "DistSparseMatrix":
+        """Distribute a global CSR matrix 2-D block-wise over the grid."""
         layout = Block2D.for_grid(a.nrows, a.ncols, grid)
-        blocks = _partition_to_cells(a, layout)
-        if block_format == "dcsr":
-            blocks = [DCSRMatrix.from_csr(blk) for blk in blocks]
-        elif block_format == "auto":
-            blocks = [choose_format(blk) for blk in blocks]
-        return cls(a.nrows, a.ncols, grid, blocks)
-
-    def compress(self, *, ratio: float = HYPERSPARSE_RATIO) -> "DistSparseMatrix":
-        """Re-store each block in the format the threshold picks (the
-        ``block_format="auto"`` policy applied to an existing matrix)."""
-        return DistSparseMatrix(
-            self.nrows,
-            self.ncols,
-            self.grid,
-            [choose_format(blk, ratio=ratio) for blk in self.blocks],
-        )
-
-    def block_formats(self) -> list[str]:
-        """Per-block storage format names (row-major, diagnostics)."""
-        return [format_name(blk) for blk in self.blocks]
-
-    def memory_bytes(self) -> int:
-        """Total index+value bytes across blocks in their current formats
-        (the quantity DCSR compression shrinks)."""
-        return sum(block_memory_bytes(blk) for blk in self.blocks)
+        return cls(a.nrows, a.ncols, grid, _partition_to_cells(a, layout))
 
     @property
     def layout(self) -> Block2D:
@@ -195,8 +146,8 @@ class DistSparseMatrix:
         """Number of stored entries."""
         return sum(b.nnz for b in self.blocks)
 
-    def block(self, i: int, j: int) -> CSRMatrix | DCSRMatrix:
-        """Local block of grid cell (i, j) in its stored format."""
+    def block(self, i: int, j: int) -> CSRMatrix:
+        """Local block of grid cell (i, j)."""
         if not (0 <= i < self.grid.rows and 0 <= j < self.grid.cols):
             raise IndexError(f"cell ({i},{j}) outside grid")
         return self.blocks[i * self.grid.cols + j]

@@ -42,7 +42,6 @@ from ..runtime.clock import Breakdown
 from ..runtime.epoch import TransposeCache, bump_epoch
 from ..runtime.locale import Machine
 from ..sparse.csr import CSRMatrix
-from ..sparse.formats import ensure_csr
 from ..sparse.vector import SparseVector
 from .backend import BackendBase
 from .descriptor import Descriptor
@@ -206,9 +205,9 @@ class DistBackend(BackendBase):
         back through :func:`~repro.ops.assign.assign_agg` — so the
         write-back bills the aggregated get/put streams and retries
         whole batches under fault injection, exactly like every other
-        distributed assign.  Block storage formats are preserved, and
-        the storage mutation epoch is bumped so identity-anchored plan
-        and transpose caches miss from the next op on.
+        distributed assign.  The storage mutation epoch is bumped so
+        identity-anchored plan and transpose caches miss from the next
+        op on.
         """
         from ..ops.assign import assign_agg
         from ..streaming.delta import UpdateBatch, apply_batch_csr, apply_cost
@@ -218,24 +217,21 @@ class DistBackend(BackendBase):
                 f"batch shape {batch.shape} != matrix shape {a.shape}"
             )
         grid = a.grid
-        ups = batch.upserts_csr()
-        dels = batch.deletes_csr()
+        ups = batch.upserts
+        dels = batch.deletes
         ups_d = None if ups is None else DistSparseMatrix.from_global(ups, grid)
         dels_d = None if dels is None else DistSparseMatrix.from_global(dels, grid)
         merged: list[CSRMatrix] = []
         slowest = 0.0
         for k, blk in enumerate(a.blocks):
-            blk_csr = ensure_csr(blk)
             local = UpdateBatch(
-                blk_csr.nrows,
-                blk_csr.ncols,
+                blk.nrows,
+                blk.ncols,
                 upserts=None if ups_d is None else ups_d.blocks[k],
                 deletes=None if dels_d is None else dels_d.blocks[k],
             )
-            slowest = max(
-                slowest, apply_cost(self.machine, blk_csr.nnz, local).total
-            )
-            merged.append(apply_batch_csr(blk_csr, local, accum=accum))
+            slowest = max(slowest, apply_cost(self.machine, blk.nnz, local).total)
+            merged.append(apply_batch_csr(blk, local, accum=accum))
         self.machine.record("apply_updates", Breakdown({"apply": slowest}))
         src = DistSparseMatrix(a.nrows, a.ncols, grid, merged)
         assign_agg(a, src, self.machine)

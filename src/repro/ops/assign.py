@@ -41,8 +41,6 @@ from ..runtime.comm import fine_grained
 from ..runtime.faults import RETRY_STEP
 from ..runtime.locale import Machine
 from ..runtime.tasks import coforall_spawn, parallel_time
-from ..sparse.dcsr import DCSRMatrix
-from ..sparse.formats import ensure_csr, ensure_dcsr
 from ..sparse.vector import SparseVector
 
 __all__ = [
@@ -60,11 +58,8 @@ __all__ = [
 def _copy_into(dst, src) -> None:
     """Replace dst's domain and values with copies of src's.
 
-    Handles all local block kinds: :class:`SparseVector` (indices+values)
-    and matrix blocks in either storage format.  A matrix destination
-    keeps its format — the source is converted to it first, so a
-    DCSR-blocked matrix stays DCSR-blocked through an assign (format is
-    pure storage; see :mod:`repro.sparse.formats`).
+    Handles both local block kinds: :class:`SparseVector`
+    (indices+values) and CSR matrix blocks.
     """
     if isinstance(dst, SparseVector):
         if dst.capacity != src.capacity:
@@ -73,22 +68,14 @@ def _copy_into(dst, src) -> None:
             )
         dst.indices = src.indices.copy()
         dst.values = src.values.copy()
-    else:  # matrix block (CSR or DCSR)
+    else:  # CSR matrix block
         if dst.shape != src.shape:
             raise ValueError(
                 f"assign requires matching shapes ({dst.shape} != {src.shape})"
             )
-        if isinstance(dst, DCSRMatrix):
-            s = ensure_dcsr(src)
-            dst.rowids = s.rowids.copy()
-            dst.rowptr = s.rowptr.copy()
-            dst.colidx = s.colidx.copy()
-            dst.values = s.values.copy()
-        else:
-            s = ensure_csr(src)
-            dst.rowptr = s.rowptr.copy()
-            dst.colidx = s.colidx.copy()
-            dst.values = s.values.copy()
+        dst.rowptr = src.rowptr.copy()
+        dst.colidx = src.colidx.copy()
+        dst.values = src.values.copy()
 
 
 def _log_nnz(nnz: int) -> float:

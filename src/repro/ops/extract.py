@@ -45,6 +45,8 @@ def extract_matrix(a: CSRMatrix, rows: np.ndarray, cols: np.ndarray) -> CSRMatri
     """
     rows = np.asarray(rows, dtype=np.int64)
     cols = np.asarray(cols, dtype=np.int64)
+    if rows.size and (rows.min() < 0 or rows.max() >= a.nrows):
+        raise IndexError("row index out of bounds")
     if cols.size and (cols.min() < 0 or cols.max() >= a.ncols):
         raise IndexError("column index out of bounds")
     if unique_sorted(cols).size != cols.size:

@@ -22,7 +22,6 @@ import numpy as np
 
 from ..runtime import fastpath
 from ..sparse.csr import CSRMatrix
-from ..sparse.dcsr import DCSRMatrix
 from ..sparse.sort import row_major_order
 from ..sparse.spa import SPA
 from .mask import mask_matrix
@@ -30,30 +29,21 @@ from ..algebra.semiring import PLUS_TIMES, Semiring
 
 __all__ = ["mxm", "mxm_gustavson", "mxm_gustavson_reference", "flops"]
 
-#: Either local storage format; the SpGEMM kernels are polymorphic over
-#: the shared (row, row_indices, extract_rows) surface and always produce
-#: CSR output, so hypersparse DCSR blocks flow through the distributed
-#: SUMMA without conversion.
-LocalMatrix = CSRMatrix | DCSRMatrix
 
-
-def flops(a: LocalMatrix, b: LocalMatrix) -> int:
+def flops(a: CSRMatrix, b: CSRMatrix) -> int:
     """Number of semiring multiplications ``A·B`` performs (size of the
-    expanded product).  A pure function of the stored patterns — CSR and
-    DCSR operands yield the identical count."""
+    expanded product) — a pure function of the stored patterns."""
     if a.ncols != b.nrows:
         raise ValueError(f"inner dimensions disagree: {a.ncols} vs {b.nrows}")
-    if isinstance(b, DCSRMatrix):
-        return int(b.row_lengths(a.colidx).sum())
     return int(np.diff(b.rowptr)[a.colidx].sum())
 
 
 def mxm(
-    a: LocalMatrix,
-    b: LocalMatrix,
+    a: CSRMatrix,
+    b: CSRMatrix,
     *,
     semiring: Semiring = PLUS_TIMES,
-    mask: LocalMatrix | None = None,
+    mask: CSRMatrix | None = None,
     complement: bool = False,
 ) -> CSRMatrix:
     """ESC SpGEMM: ``C = A ⊗ B`` (optionally ``C⟨mask⟩``).
@@ -62,12 +52,7 @@ def mxm(
     triples ``(i, j, A[i,k] ⊗ B[k,j])``; :meth:`CSRMatrix.from_triples`
     performs the sort+compress with the semiring's additive monoid.
 
-    Operands may be CSR or hypersparse DCSR in any mix (the expansion
-    only needs per-nonzero rows and a row gather, which both formats
-    serve — DCSR via its vectorised binary-search lookup); the output is
-    always CSR and bit-identical across operand formats.
-
-    With a mask (CSR or DCSR, ``complement`` honoured), the fast path
+    With a mask (``complement`` honoured), the fast path
     drops every expanded product the mask excludes *before* the sort, so
     the compress only orders the survivors (Buluç & Gilbert's masked
     ESC).  Pruning removes whole output coordinates and keeps each
@@ -100,7 +85,7 @@ def mxm(
     return c
 
 
-def _in_mask(rows: np.ndarray, cols: np.ndarray, mask: LocalMatrix) -> np.ndarray:
+def _in_mask(rows: np.ndarray, cols: np.ndarray, mask: CSRMatrix) -> np.ndarray:
     """Whether each ``(row, col)`` is stored in ``mask``: a ``searchsorted``
     of the row-major linear keys into the mask's, which its sorted rows
     and columns already keep ascending."""
@@ -115,8 +100,8 @@ def _in_mask(rows: np.ndarray, cols: np.ndarray, mask: LocalMatrix) -> np.ndarra
 
 
 def mxm_gustavson(
-    a: LocalMatrix,
-    b: LocalMatrix,
+    a: CSRMatrix,
+    b: CSRMatrix,
     *,
     semiring: Semiring = PLUS_TIMES,
     mask: CSRMatrix | None = None,
@@ -177,8 +162,8 @@ def mxm_gustavson(
 
 
 def mxm_gustavson_reference(
-    a: LocalMatrix,
-    b: LocalMatrix,
+    a: CSRMatrix,
+    b: CSRMatrix,
     *,
     semiring: Semiring = PLUS_TIMES,
     mask: CSRMatrix | None = None,

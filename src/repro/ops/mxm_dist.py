@@ -17,11 +17,8 @@ for each stage ``s`` of ``q = √p`` stages:
 Communication is bulk by construction — SUMMA is the bulk-synchronous
 answer to the fine-grained problems of §IV.  Requires a square grid.
 
-Three orthogonal extensions (see ``docs/spgemm.md``):
+Two orthogonal extensions (see ``docs/spgemm.md``):
 
-* **Hypersparse blocks** — operand blocks may be CSR or DCSR in any mix;
-  every cost formula is a function of nnz/flops only, so the block format
-  never changes results *or* ledgers (only memory and wall clock).
 * **Mask fusion** (``mask_mode="fused"``, the default with a mask) — each
   stage's product is pruned against the local mask block *before* it
   enters the accumulator, so the merge bill scales with the masked
@@ -75,7 +72,6 @@ from ..runtime.faults import RETRY_STEP
 from ..runtime.locale import Machine
 from ..runtime.tasks import coforall_spawn, local_time_ft, parallel_time
 from ..sparse.csr import CSRMatrix
-from ..sparse.dcsr import DCSRMatrix
 from .ewise import ewiseadd_mm
 from .mxm import mxm
 
@@ -247,19 +243,12 @@ def stage_flops(a: DistSparseMatrix, b: DistSparseMatrix) -> np.ndarray:
     q = a.grid.rows
     out = np.zeros((q, q, q))  # [s, i, j]
     for s in range(q):
-        lengths = [_row_lengths(b.block(s, j)) for j in range(q)]
+        lengths = [np.diff(b.block(s, j).rowptr) for j in range(q)]
         for i in range(q):
             cols = a.block(i, s).colidx
             if cols.size:
                 out[s, i] = [rows.take(cols).sum() for rows in lengths]
     return out.reshape(q, q * q)
-
-
-def _row_lengths(blk) -> np.ndarray:
-    """Stored entries of every row of a CSR or DCSR block."""
-    if isinstance(blk, DCSRMatrix):
-        return blk.row_lengths(np.arange(blk.nrows))
-    return blk.rowptr[1:] - blk.rowptr[:-1]
 
 
 def _fold(a, b, semiring, mask, complement, mask_mode):

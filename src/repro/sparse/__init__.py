@@ -3,11 +3,6 @@
 from .coo import COOMatrix, coalesce
 from .csc import CSCMatrix
 from .csr import CSRMatrix
-from .dcsr import DCSRMatrix
-from .formats import (
-    HYPERSPARSE_RATIO, block_memory_bytes, choose_format, ensure_csr,
-    ensure_dcsr, format_name, is_hypersparse,
-)
 from .sort import merge_sort, merge_two, radix_sort
 from .spa import SPA
 from .validate import (
@@ -17,10 +12,8 @@ from .vector import DenseVector, SparseVector
 
 __all__ = [
     "COOMatrix", "CSCMatrix", "CSRMatrix",
-    "DCSRMatrix", "SPA", "SparseVector",
+    "SPA", "SparseVector",
     "DenseVector", "coalesce", "merge_sort", "merge_two", "radix_sort",
     "ValidationError", "validate_csr", "validate_vector", "validate_coo",
     "same_pattern",
-    "HYPERSPARSE_RATIO", "block_memory_bytes", "choose_format",
-    "ensure_csr", "ensure_dcsr", "format_name", "is_hypersparse",
 ]

@@ -1,4 +1,4 @@
-"""Update batches as hypersparse delta matrices.
+"""Update batches as sparse delta matrices.
 
 A batch of edge updates against an ``n×m`` graph is two sparse matrices
 over the same shape:
@@ -11,10 +11,7 @@ over the same shape:
 
 Application order is **deletes first, then upserts** — so one batch can
 atomically move an edge, and a (delete e, upsert e) pair means "replace"
-rather than "remove".  Both matrices are stored through PR 8's
-hypersparsity policy (:func:`~repro.sparse.formats.choose_format`): a
-realistic batch touches a few hundred of millions of rows, which is
-exactly the ``nnz ≪ nrows`` regime DCSR exists for.
+rather than "remove".  Both matrices are CSR, the one local format.
 
 :func:`apply_batch_csr` is the one merge kernel both backends share —
 a complement structural mask (delete) followed by a union merge with the
@@ -34,8 +31,6 @@ from ..runtime.clock import Breakdown
 from ..runtime.locale import Machine
 from ..runtime.tasks import parallel_time
 from ..sparse.csr import CSRMatrix
-from ..sparse.dcsr import DCSRMatrix
-from ..sparse.formats import block_memory_bytes, choose_format, ensure_csr
 
 __all__ = ["UpdateBatch", "apply_batch_csr", "apply_cost"]
 
@@ -47,22 +42,19 @@ def _as_index_array(x) -> np.ndarray:
 def _pattern(
     nrows: int, ncols: int, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray,
     dup: BinaryOp,
-) -> CSRMatrix | DCSRMatrix:
+) -> CSRMatrix:
     if rows.size and (rows.min() < 0 or rows.max() >= nrows):
         raise IndexError(f"row index outside [0, {nrows})")
     if cols.size and (cols.min() < 0 or cols.max() >= ncols):
         raise IndexError(f"column index outside [0, {ncols})")
-    csr = CSRMatrix.from_triples(nrows, ncols, rows, cols, vals, dup=Monoid(dup, None))
-    return choose_format(csr)
+    return CSRMatrix.from_triples(nrows, ncols, rows, cols, vals, dup=Monoid(dup, None))
 
 
 class UpdateBatch:
-    """One batch of edge updates, stored hypersparse.
+    """One batch of edge updates as CSR deltas.
 
-    Build with :meth:`from_edges` (triples in, formats chosen per the
-    hypersparsity threshold) or wrap pre-built matrices directly; the
-    constructor re-stores whatever it is given through
-    :func:`~repro.sparse.formats.choose_format`.
+    Build with :meth:`from_edges` (triples in) or wrap pre-built CSR
+    matrices directly.
     """
 
     def __init__(
@@ -70,8 +62,8 @@ class UpdateBatch:
         nrows: int,
         ncols: int,
         *,
-        upserts: CSRMatrix | DCSRMatrix | None = None,
-        deletes: CSRMatrix | DCSRMatrix | None = None,
+        upserts: CSRMatrix | None = None,
+        deletes: CSRMatrix | None = None,
     ) -> None:
         if nrows < 0 or ncols < 0:
             raise ValueError("batch shape must be non-negative")
@@ -82,8 +74,8 @@ class UpdateBatch:
                 raise ValueError(
                     f"{name} shape {mat.shape} != batch shape {(nrows, ncols)}"
                 )
-        self.upserts = None if upserts is None else choose_format(upserts)
-        self.deletes = None if deletes is None else choose_format(deletes)
+        self.upserts = upserts
+        self.deletes = deletes
 
     @classmethod
     def from_edges(
@@ -145,47 +137,20 @@ class UpdateBatch:
         """Total entries the batch carries."""
         return self.num_upserts + self.num_deletes
 
-    def upserts_csr(self) -> CSRMatrix | None:
-        """The upsert delta as CSR (``None`` when empty)."""
-        return None if self.upserts is None else ensure_csr(self.upserts)
-
-    def deletes_csr(self) -> CSRMatrix | None:
-        """The delete pattern as CSR (``None`` when empty)."""
-        return None if self.deletes is None else ensure_csr(self.deletes)
-
     def upsert_triples(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``(rows, cols, weights)`` of the upserts (host-side view for
         incremental algorithms)."""
         if self.upserts is None:
             e = np.empty(0, np.int64)
             return e, e.copy(), np.empty(0)
-        csr = ensure_csr(self.upserts)
-        return csr.row_indices(), csr.colidx, csr.values
+        return self.upserts.row_indices(), self.upserts.colidx, self.upserts.values
 
     def delete_pairs(self) -> tuple[np.ndarray, np.ndarray]:
         """``(rows, cols)`` of the delete pattern."""
         if self.deletes is None:
             e = np.empty(0, np.int64)
             return e, e.copy()
-        csr = ensure_csr(self.deletes)
-        return csr.row_indices(), csr.colidx
-
-    def formats(self) -> dict[str, str | None]:
-        """Chosen storage formats (diagnostics)."""
-        from ..sparse.formats import format_name
-
-        return {
-            "upserts": None if self.upserts is None else format_name(self.upserts),
-            "deletes": None if self.deletes is None else format_name(self.deletes),
-        }
-
-    def memory_bytes(self) -> int:
-        """Index + value bytes of both deltas in their stored formats."""
-        return sum(
-            block_memory_bytes(m)
-            for m in (self.upserts, self.deletes)
-            if m is not None
-        )
+        return self.deletes.row_indices(), self.deletes.colidx
 
     def symmetrized(self) -> "UpdateBatch":
         """The batch with every update mirrored (``(u,v)`` and ``(v,u)``)
@@ -229,10 +194,10 @@ def apply_batch_csr(
     if a.shape != batch.shape:
         raise ValueError(f"batch shape {batch.shape} != matrix shape {a.shape}")
     out = a
-    dels = batch.deletes_csr()
+    dels = batch.deletes
     if dels is not None and dels.nnz:
         out = mask_matrix(out, dels, complement=True)
-    ups = batch.upserts_csr()
+    ups = batch.upserts
     if ups is not None and ups.nnz:
         out = ewiseadd_mm(out, ups, accum or SECOND)
     elif out is a:
@@ -245,9 +210,7 @@ def apply_cost(machine: Machine, nnz: int, batch: UpdateBatch) -> Breakdown:
 
     One stream pass over the stored entries plus a sort/merge term over
     the batch — the same O(nnz + |delta|·log|delta|) shape as the e-wise
-    merges it is built from.  Deterministic in (nnz, batch sizes) only,
-    so CSR- and DCSR-stored deltas bill identically (the PR 8 format
-    invariant).
+    merges it is built from.  Deterministic in (nnz, batch sizes) only.
     """
     cfg = machine.config
     pen = machine.compute_penalty

@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+from repro.exec import DistBackend, ShmBackend
 from repro.generators import erdos_renyi
 from repro.ops import extract_col, extract_matrix, extract_row, extract_vector
+from repro.runtime import LocaleGrid, Machine
 from repro.sparse import CSRMatrix, SparseVector
 
 
@@ -64,6 +66,18 @@ class TestExtractMatrix:
     def test_column_bounds(self):
         with pytest.raises(IndexError):
             extract_matrix(CSRMatrix.empty(3, 3), np.array([0]), np.array([5]))
+
+    @pytest.mark.parametrize("backend", ["shm", "dist"])
+    @pytest.mark.parametrize("row", [-1, -2, 3])
+    def test_row_bounds(self, backend, row):
+        b = (
+            ShmBackend()
+            if backend == "shm"
+            else DistBackend(Machine(grid=LocaleGrid.for_count(4), threads_per_locale=2))
+        )
+        a = b.matrix(CSRMatrix.from_dense(np.arange(1.0, 10.0).reshape(3, 3)))
+        with pytest.raises(IndexError, match="row index out of bounds"):
+            b.extract(a, [row], [0, 1, 2])
 
 
 class TestExtractRowCol:

@@ -43,6 +43,7 @@ from repro.runtime import (
     shared_machine,
 )
 from repro.runtime.epoch import bump_epoch
+from repro.runtime.telemetry import registry as telemetry_registry
 from repro.runtime.aggregation import AGG_DEFAULT
 from repro.sparse import SparseVector
 from tests.strategies import PROFILE, PROFILE_FAST, covered_setups, matrix_vector_pairs
@@ -405,3 +406,42 @@ class TestEpochInvalidation:
                     assert after["misses"] == before["misses"] + 1
                 else:
                     assert after["hits"] == before["hits"] + 1
+
+
+class TestPlanCacheStats:
+    def test_eviction_counter_and_telemetry(self):
+        cache = PlanCache(max_entries=2)
+        base = telemetry_registry.counter("dispatch.plan_cache").total(
+            outcome="eviction"
+        )
+        cache.store(("op_a", 1), {"x": 1.0})
+        cache.store(("op_a", 2), {"x": 2.0})
+        assert cache.evictions == 0
+        cache.store(("op_a", 3), {"x": 3.0})  # FIFO evicts key 1
+        assert cache.evictions == 1
+        assert cache.lookup(("op_a", 1)) is None
+        assert cache.lookup(("op_a", 3)) == {"x": 3.0}
+        assert cache.stats() == {
+            "hits": 1, "misses": 1, "evictions": 1, "entries": 2,
+        }
+        after = telemetry_registry.counter("dispatch.plan_cache").total(
+            outcome="eviction"
+        )
+        assert after == base + 1
+        assert (
+            telemetry_registry.counter("dispatch.plan_cache").value(
+                outcome="eviction", op="op_a"
+            )
+            >= 1
+        )
+
+    def test_dispatcher_mxm_plans_are_cached(self):
+        a = erdos_renyi(160, 6, seed=7)
+        grid = LocaleGrid(4, 4)
+        d = Dispatcher(Machine(grid=grid, threads_per_locale=2))
+        ad = DistSparseMatrix.from_global(a, grid)
+        with fastpath.force(True):
+            d.mxm_dist(ad, ad)
+            h0 = d.plan_cache.stats()["hits"]
+            d.mxm_dist(ad, ad)
+        assert d.plan_cache.stats()["hits"] == h0 + 1

@@ -1,4 +1,4 @@
-"""UpdateBatch semantics: hypersparse storage, delete-then-upsert merge."""
+"""UpdateBatch semantics: CSR deltas, delete-then-upsert merge."""
 
 from __future__ import annotations
 
@@ -8,9 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.algebra.functional import PLUS
 from repro.sparse.csr import CSRMatrix
-from repro.sparse.dcsr import DCSRMatrix
-from repro.sparse.formats import choose_format
-from repro.streaming import UpdateBatch, apply_batch_csr, apply_cost
+from repro.streaming import UpdateBatch, apply_batch_csr
 from tests.strategies import PROFILE
 
 pytestmark = pytest.mark.streaming
@@ -29,13 +27,6 @@ class TestUpdateBatch:
         assert b.num_upserts == 2 and b.num_deletes == 1 and b.size == 3
         _, _, w = b.upsert_triples()
         assert np.array_equal(w, [1.0, 1.0])  # weights default to 1
-
-    def test_realistic_batches_store_hypersparse(self):
-        """A few edges against many rows is exactly the DCSR regime."""
-        b = UpdateBatch.from_edges(1000, 1000, inserts=([3, 500], [4, 501]))
-        assert b.formats() == {"upserts": "dcsr", "deletes": None}
-        assert isinstance(b.upserts, DCSRMatrix)
-        assert b.memory_bytes() < 1000  # nowhere near a dense rowptr
 
     def test_duplicate_insert_keeps_last_weight(self):
         b = UpdateBatch.from_edges(
@@ -147,30 +138,3 @@ class TestApplyOracle:
         iu, iv, w = batch.upsert_triples()
         ref[iu, iv] = w
         assert np.allclose(apply_batch_csr(a, batch).to_dense(), ref)
-
-    @given(data=st.data())
-    @settings(PROFILE)
-    def test_cost_is_format_independent(self, data):
-        """CSR- and DCSR-stored deltas bill identical simulated time —
-        the PR 8 'format is pure storage' invariant."""
-        from repro.runtime.locale import shared_machine
-
-        n = data.draw(st.integers(2, 10))
-        batch = data.draw(random_batches(n))
-        m = shared_machine(4)
-        as_csr = UpdateBatch(
-            n, n,
-            upserts=batch.upserts_csr(),
-            deletes=batch.deletes_csr(),
-        )
-        t1 = apply_cost(m, 37, batch).total
-        t2 = apply_cost(m, 37, as_csr).total
-        assert t1 == t2
-        assert t1 > 0.0 or batch.size == 0
-
-    def test_choose_format_round_trip_preserved(self):
-        """The constructor re-stores through choose_format — wrapping a
-        CSR that should be DCSR compresses it."""
-        csr = CSRMatrix.from_triples(100, 100, [5], [7], [1.0])
-        b = UpdateBatch(100, 100, upserts=csr)
-        assert isinstance(b.upserts, type(choose_format(csr)))
