@@ -74,6 +74,14 @@ def test_apply_cost_scales_with_batch(payload):
         assert applies == sorted(applies)
 
 
+def test_dist_ingest_follows_the_delta(payload):
+    """Distributed ingest moves the delta, not the matrix: the same
+    batches on four locales bill at most twice the shared-memory ingest
+    on every row (writing the whole matrix back would bill over 20×)."""
+    for where, row in payload["results"]["ingest"].items():
+        assert row["dist_apply_s"] <= 2.0 * row["apply_s"], (where, row)
+
+
 def test_streaming_figure(payload):
     """One figure: incremental vs full simulated seconds over batch size,
     per workload."""

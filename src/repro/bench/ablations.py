@@ -648,6 +648,8 @@ STREAM_BATCH_SIZES = [8, 64, 256]
 STREAM_N_BATCHES = 4
 STREAM_ER_N, STREAM_ER_DEG = 4096, 8
 STREAM_RMAT_SCALE, STREAM_RMAT_EF = 12, 8
+#: locales of the distributed ingest column (``dist_apply_s``)
+STREAM_DIST_P = 4
 
 
 def streaming_workloads() -> dict[str, CSRMatrix]:
@@ -702,6 +704,8 @@ def streaming_sweep(workloads=None) -> dict:
     same live handle — same backend, same ledger — so the two costs are
     directly comparable slices of one simulated run.  ``exact`` records
     that the repaired levels matched the recomputation bit-for-bit.
+    ``dist_apply_s`` ingests the same batches alone through a stream on
+    ``STREAM_DIST_P`` locales of 8 threads.
     """
     from ..algorithms import bfs_levels_incremental
     from ..runtime.telemetry.registry import MetricsRegistry
@@ -740,10 +744,19 @@ def streaming_sweep(workloads=None) -> dict:
                 full_s += ledger.total - t0
                 wall_full += w
                 exact = exact and bool(np.array_equal(levels, cold))
+            dist = DistBackend(
+                Machine(
+                    grid=LocaleGrid.for_count(STREAM_DIST_P),
+                    threads_per_locale=8,
+                    ledger=CostLedger(),
+                )
+            )
+            GraphStream(dist, a, registry=MetricsRegistry()).ingest(batches)
             out[f"{name}/b{batch_edges}"] = {
                 "batch_edges": batch_edges,
                 "nnz": int(stream.nnz),
                 "apply_s": apply_s,
+                "dist_apply_s": dist.machine.ledger.total,
                 "incremental_s": inc_s,
                 "full_s": full_s,
                 # dimensionless, so outside the 10% simulated-seconds gate
@@ -767,6 +780,7 @@ def run_streaming() -> dict:
             "er": {"n": STREAM_ER_N, "deg": STREAM_ER_DEG},
             "rmat": {"scale": STREAM_RMAT_SCALE, "edge_factor": STREAM_RMAT_EF},
             "nbatches": STREAM_N_BATCHES,
+            "dist_p": STREAM_DIST_P,
         },
         "results": {"ingest": streaming_sweep()},
     }

@@ -25,7 +25,7 @@ from ..algebra.semiring import PLUS_TIMES, Semiring
 from ..distributed.dist_matrix import DistSparseMatrix
 from ..distributed.dist_vector import DistDenseVector, DistSparseVector
 from ..ops.apply import apply2
-from ..ops.assign import assign2
+from ..ops.assign import assign2, assign_agg_bill
 from ..ops.dispatch import Dispatcher
 from ..ops.ewise import ewiseadd_vv, ewisemult_vv
 from ..ops.extract import extract_matrix
@@ -200,16 +200,17 @@ class DistBackend(BackendBase):
         """Mutate ``a`` in place by one delta batch, SPMD-style.
 
         The batch's deltas are cut into the same 2-D block partition as
-        ``a``, each locale merges its own block (cost = the slowest
-        locale, coforall semantics), and the merged blocks are written
-        back through :func:`~repro.ops.assign.assign_agg` — so the
-        write-back bills the aggregated get/put streams and retries
-        whole batches under fault injection, exactly like every other
-        distributed assign.  The storage mutation epoch is bumped so
-        identity-anchored plan and transpose caches miss from the next
-        op on.
+        ``a`` and delivered to their owners, billed by
+        :func:`~repro.ops.assign.assign_agg_bill` over the delta's
+        per-locale entry counts — so delivery follows |Δ|, not nnz(A),
+        and retries whole batches under fault injection.  Each locale then
+        merges its share into its own block in place (cost = the slowest
+        locale, coforall semantics).  One ``apply_updates`` row carries
+        the merge (``apply``) and the delivery.  A failed locale raises at
+        entry, before any block is touched or billed.  The storage
+        mutation epochs are bumped so identity-anchored plan and transpose
+        caches miss from the next op on.
         """
-        from ..ops.assign import assign_agg
         from ..streaming.delta import UpdateBatch, apply_batch_csr, apply_cost
 
         if batch.shape != a.shape:
@@ -217,11 +218,17 @@ class DistBackend(BackendBase):
                 f"batch shape {batch.shape} != matrix shape {a.shape}"
             )
         grid = a.grid
+        if self.machine.faults is not None:
+            self.machine.faults.check_grid(grid, "apply_updates")
         ups = batch.upserts
         dels = batch.deletes
         ups_d = None if ups is None else DistSparseMatrix.from_global(ups, grid)
         dels_d = None if dels is None else DistSparseMatrix.from_global(dels, grid)
-        merged: list[CSRMatrix] = []
+        delta = np.zeros(grid.size, dtype=np.int64)
+        for d in (ups_d, dels_d):
+            if d is not None:
+                delta += d.nnz_per_locale()
+        deliver = assign_agg_bill(self.machine, delta)
         slowest = 0.0
         for k, blk in enumerate(a.blocks):
             local = UpdateBatch(
@@ -231,13 +238,11 @@ class DistBackend(BackendBase):
                 deletes=None if dels_d is None else dels_d.blocks[k],
             )
             slowest = max(slowest, apply_cost(self.machine, blk.nnz, local).total)
-            merged.append(apply_batch_csr(blk, local, accum=accum))
-        self.machine.record("apply_updates", Breakdown({"apply": slowest}))
-        src = DistSparseMatrix(a.nrows, a.ncols, grid, merged)
-        assign_agg(a, src, self.machine)
-        for blk in a.blocks:
+            merged = apply_batch_csr(blk, local, accum=accum)
+            blk.rowptr, blk.colidx, blk.values = merged.rowptr, merged.colidx, merged.values
             bump_epoch(blk)
         bump_epoch(a)
+        self.machine.record("apply_updates", Breakdown({"apply": slowest}) + deliver)
         return a
 
     # -- products ---------------------------------------------------------------

@@ -49,6 +49,7 @@ __all__ = [
     "assign1",
     "assign2",
     "assign_agg",
+    "assign_agg_bill",
     "assign1_cost",
     "assign2_cost",
     "assign_agg_cost",
@@ -187,6 +188,45 @@ def assign_agg_cost(
     return Breakdown({"assign": compute + exposed}), comm
 
 
+def assign_agg_bill(
+    machine: Machine,
+    nnz_per_locale: np.ndarray,
+    *,
+    agg: AggregationConfig = AGG_DEFAULT,
+) -> Breakdown:
+    """The bill of moving ``nnz_per_locale`` entries between locale 0 and
+    their owners as aggregated streams.
+
+    :func:`assign_agg_cost`, plus — under fault injection — the retries of
+    every remote block's get and put legs, each a sequence of flush batches
+    that retry whole (sequence-tagged); their overhead lands in
+    ``Retries``.  Shared by :func:`assign_agg` and the distributed
+    ``apply_updates``, which bills its delta's delivery with it.
+    """
+    b, _ = assign_agg_cost(machine, nnz_per_locale, agg=agg)
+    faults = machine.faults
+    if faults is None:
+        return b
+    cfg = machine.config
+    retry = 0.0
+    for k, n in enumerate(nnz_per_locale):
+        n = int(n)
+        if k == 0 or n == 0:
+            continue
+        cost = flush_cost(cfg, n, agg=agg, local=machine.oversubscribed)
+        batches = num_flushes(n, agg.flush_elems)
+        for leg, src_id, dst_id in (("get", k, 0), ("put", 0, k)):
+            _, extra = faults.batched_transfer(
+                f"assign_agg.{leg}[{src_id}->{dst_id}]",
+                batches,
+                cost / batches,
+                src=src_id,
+                dst=dst_id,
+            )
+            retry += extra
+    return b + Breakdown({RETRY_STEP: retry})
+
+
 def assign_agg(
     dst: DistSparseVector | DistSparseMatrix,
     src: DistSparseVector | DistSparseMatrix,
@@ -197,35 +237,15 @@ def assign_agg(
     """Listing 4 semantics with aggregated remote access.
 
     Same result as :func:`assign1`; remote blocks travel as flush-batched
-    streams overlapped with the domain searches.  Under fault injection the
-    batches retry whole (sequence-tagged) and the bill lands in
-    ``Retries``."""
-    faults = machine.faults
-    if faults is not None:
-        faults.check_grid(dst.grid, "assign_agg")
+    streams overlapped with the domain searches, billed by
+    :func:`assign_agg_bill` over the source's per-locale nnz."""
+    if machine.faults is not None:
+        machine.faults.check_grid(dst.grid, "assign_agg")
     for d, s in zip(dst.blocks, src.blocks):
         _copy_into(d, s)
-    b, _ = assign_agg_cost(machine, src.nnz_per_locale(), agg=agg)
-    if faults is not None:
-        cfg = machine.config
-        retry = 0.0
-        for k, n in enumerate(src.nnz_per_locale()):
-            n = int(n)
-            if k == 0 or n == 0:
-                continue
-            cost = flush_cost(cfg, n, agg=agg, local=machine.oversubscribed)
-            batches = num_flushes(n, agg.flush_elems)
-            for leg, src_id, dst_id in (("get", k, 0), ("put", 0, k)):
-                _, extra = faults.batched_transfer(
-                    f"assign_agg.{leg}[{src_id}->{dst_id}]",
-                    batches,
-                    cost / batches,
-                    src=src_id,
-                    dst=dst_id,
-                )
-                retry += extra
-        b = b + Breakdown({RETRY_STEP: retry})
-    return machine.record("assign_agg", b)
+    return machine.record(
+        "assign_agg", assign_agg_bill(machine, src.nnz_per_locale(), agg=agg)
+    )
 
 
 def assign2_cost(machine: Machine, nnz_per_locale: np.ndarray) -> Breakdown:

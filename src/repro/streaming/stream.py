@@ -102,22 +102,24 @@ class GraphStream:
         The backend op runs under a ``stream[epoch=k]:`` ledger prefix;
         its simulated seconds (measured off that ledger slice, so metric
         and ledger reconcile exactly) feed the batch-latency histogram
-        and the running ingest rate.
+        and the running ingest rate.  The epoch advances only once the op
+        returns: a batch the backend refused leaves the epoch and the
+        history as they were.
         """
         if batch.shape != self.shape:
             raise ValueError(
                 f"batch shape {batch.shape} != stream shape {self.shape}"
             )
-        self.epoch += 1
         ledger = self.backend.machine.ledger
         start = len(ledger.entries) if ledger is not None else 0
         with IterationScope(
             ledger,
-            f"stream[epoch={self.epoch}]",
+            f"stream[epoch={self.epoch + 1}]",
             registry=self._registry,
             profile=getattr(self.backend, "profile", None),
         ):
             self.backend.apply_updates(self.handle, batch, accum=self.accum)
+        self.epoch += 1
         seconds = (
             sum(b.total for _, b in ledger.entries[start:])
             if ledger is not None

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.generators import erdos_renyi, erdos_renyi_triples
+from repro.sparse.csr import CSRMatrix
 
 
 class TestErdosRenyi:
@@ -64,3 +65,27 @@ class TestErdosRenyi:
         # no duplicate coordinates
         keys = rows * 60 + cols
         assert np.unique(keys).size == keys.size
+
+
+class TestSortFreeBuild:
+    """``erdos_renyi`` skips the re-sort of its already unique cells; the
+    matrix stays byte-identical to compressing the sampled triples."""
+
+    @pytest.mark.parametrize(
+        "n, d", [(2000, 8), (7, 7), (10, 0), (1, 1), (1, 0), (60, 59.5)]
+    )
+    @pytest.mark.parametrize("values", ["uniform", "one"])
+    @pytest.mark.parametrize("generator", [False, True], ids=["int", "rng"])
+    def test_matches_from_triples(self, n, d, values, generator):
+        def seed():
+            return np.random.default_rng(12) if generator else 12
+
+        got = erdos_renyi(n, d, seed=seed(), values=values)
+        want = CSRMatrix.from_triples(
+            n, n, *erdos_renyi_triples(n, d, seed=seed(), values=values)
+        )
+        for name in ("rowptr", "colidx", "values"):
+            g, w = getattr(got, name), getattr(want, name)
+            assert g.dtype == w.dtype, name
+            assert g.tobytes() == w.tobytes(), name
+        got.check()
