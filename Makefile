@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test test-fast test-props test-chaos test-algos test-spmd test-telemetry test-streaming test-service bench bench-agg bench-frontend bench-wall bench-spgemm bench-streaming bench-service bench-e2e bench-gate bench-full figures report examples clean
+.PHONY: install test test-fast test-props test-chaos test-algos test-telemetry test-streaming test-service bench bench-agg bench-frontend bench-wall bench-spgemm bench-streaming bench-service bench-e2e bench-gate bench-full figures report examples clean
 
 # coverage flags only when pytest-cov is importable (it is optional; the
 # floor pins the fault/retry machinery in src/repro/runtime/)
@@ -16,10 +16,7 @@ test:
 	$(PYTHON) -m pytest tests/
 
 test-fast:           ## pre-commit default: unit + quick property tier, no chaos/slow
-	## run twice — serial, then through the SPMD pool — so every fast test
-	## doubles as a pool-mode determinism check (see docs/spmd.md)
-	REPRO_SPMD=0 REPRO_TEST_PROFILE=quick $(PYTHON) -m pytest tests/ -m "not chaos and not slow"
-	REPRO_SPMD=2 REPRO_TEST_PROFILE=quick $(PYTHON) -m pytest tests/ -m "not chaos and not slow"
+	REPRO_TEST_PROFILE=quick $(PYTHON) -m pytest tests/ -m "not chaos and not slow"
 
 test-props:          ## full property suite (slow tier included, 100 examples)
 	REPRO_RUN_SLOW=1 REPRO_TEST_PROFILE=standard $(PYTHON) -m pytest tests/test_properties.py tests/ops/test_dispatch.py
@@ -31,10 +28,6 @@ test-chaos:          ## chaos suite + runtime tests (REPRO_TEST_PROFILE=quick|st
 test-algos:          ## algorithm suites on both backends + frontend unit tests + layering lint
 	REPRO_TEST_PROFILE=$${REPRO_TEST_PROFILE:-standard} \
 	    $(PYTHON) -m pytest tests/algorithms/ tests/exec/ tests/test_layering.py
-
-test-spmd:           ## SPMD determinism tier: pool sizes 0/1/4 bit-identical + chaos toggles
-	REPRO_TEST_PROFILE=$${REPRO_TEST_PROFILE:-quick} \
-	    $(PYTHON) -m pytest tests/runtime/test_spmd_determinism.py tests/chaos/test_spmd_chaos.py
 
 test-telemetry:      ## observability suites: registry, timeline, profiling hooks, gate
 	REPRO_TEST_PROFILE=$${REPRO_TEST_PROFILE:-quick} \

@@ -20,13 +20,6 @@ why that is the honest estimator), and pins three claims:
    regression gate's loose (1.5×) wall tolerance via ``gate_wall``, so a
    fast path that silently stops being fast fails ``make bench-gate``.
 
-The SPMD process pool (:mod:`repro.runtime.spmd`) rides the same sweep:
-each row also times the fast path with per-locale blocks shipped to a
-4-worker pool (``wall_spmd_s``) and pins the same identity claim —
-results and simulated totals bit-identical to the serial fast path.  Its
-speedup over the serial fast path is recorded, not floored: on a 2-CPU
-host it is a net loss on BFS (``docs/spmd.md`` has the numbers).
-
 The sweep lives in :mod:`repro.bench.ablations` (``run_wall``) so the
 perf-regression gate re-runs the identical measurement.
 """
@@ -68,17 +61,6 @@ def test_bfs_wall_speedup(payload):
     assert row["speedup"] >= WALL_BFS_SPEEDUP_FLOOR, row
 
 
-def test_spmd_pool_changes_wall_time_only(payload):
-    """The SPMD identity claim at bench scale: pooled execution returns
-    the same bits and charges the same simulated seconds as the serial
-    fast path — the pool buys (or on a starved host, fails to buy) wall
-    time only."""
-    for key, row in payload["results"].items():
-        assert row["spmd_simulated_equal"], key
-        assert row["spmd_results_equal"], key
-        assert row["wall_spmd_s"] > 0.0, key
-
-
 def test_every_workload_not_slower(payload):
     """No workload may *lose* wall time to the fast path (beyond noise)."""
     for key, row in payload["results"].items():
@@ -96,7 +78,6 @@ def test_payload_gates_both_metric_kinds(payload):
     for w in WALL_WORKLOADS:
         assert f"{w}/dist/wall_before_s" in wall
         assert f"{w}/dist/wall_after_s" in wall
-        assert f"{w}/dist/wall_spmd_s" in wall
 
 
 def test_write_bench_json(payload):

@@ -91,16 +91,6 @@ class UnaryOp:
     def __call__(self, x):
         return self.fn(x)
 
-    def __reduce_ex__(self, protocol):
-        # registered ops pickle as a registry lookup — their ``fn`` lambdas
-        # never cross process boundaries, and an SPMD worker unpickles the
-        # very module constant the master referenced.  Unregistered ops
-        # (property-test lambdas) fall through to default pickling, whose
-        # failure map_blocks turns into master-side compute.
-        if _UNARY_REGISTRY.get(self.name) is self:
-            return (unary, (self.name,))
-        return super().__reduce_ex__(protocol)
-
     def __repr__(self) -> str:  # pragma: no cover - trivial
         return f"UnaryOp({self.name})"
 
@@ -125,12 +115,6 @@ class BinaryOp:
 
     def __call__(self, x, y):
         return self.fn(x, y)
-
-    def __reduce_ex__(self, protocol):
-        # see UnaryOp.__reduce_ex__: registered ops travel by name
-        if _BINARY_REGISTRY.get(self.name) is self:
-            return (binary, (self.name,))
-        return super().__reduce_ex__(protocol)
 
     def __repr__(self) -> str:  # pragma: no cover - trivial
         return f"BinaryOp({self.name})"

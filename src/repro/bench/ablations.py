@@ -48,7 +48,6 @@ __all__ = [
     "FRONTEND_WORKLOADS",
     "run_frontend",
     "WALL_WORKLOADS",
-    "WALL_SPMD_POOL",
     "run_wall",
     "SPGEMM_NODE_SWEEP",
     "SPGEMM_AUTO_BOUND",
@@ -341,11 +340,6 @@ WALL_WORKLOADS = ("bfs", "triangle", "pagerank")
 #: retained pure-reference path.  The checked-in baseline records ~5x.
 WALL_BFS_SPEEDUP_FLOOR = 4.0
 
-#: worker count for the SPMD wall columns (matches the determinism tier's
-#: largest pool); the columns are measured and recorded, not floored —
-#: see ``docs/spmd.md`` for the measured speedups
-WALL_SPMD_POOL = 4
-
 
 def wall_graphs() -> dict[str, CSRMatrix]:
     """The wall ablation's graphs: the frontend pair plus PageRank's."""
@@ -362,65 +356,51 @@ def wall_run(workload: str, a: CSRMatrix, m: Machine):
 
 
 def _wall_row(workload: str, a: CSRMatrix, reps: int = WALL_REPS) -> dict:
-    """Before/after/SPMD wall measurement of one workload, noise-hardened.
+    """Before/after wall measurement of one workload, noise-hardened.
 
     Wall time on a shared host drifts by tens of percent between
-    *processes*, but the modes drift together, so all three are
-    interleaved in one process: a warmup run each (first-touch caches,
-    lazy imports, pool worker spawn), then ``reps`` alternating timed
-    runs, keeping the **minimum** per mode — min-of-k is the standard
-    low-noise estimator for a deterministic computation (noise only ever
-    adds).
+    *processes*, but the modes drift together, so both are interleaved in
+    one process: a warmup run each (first-touch caches, lazy imports),
+    then ``reps`` alternating timed runs, keeping the **minimum** per
+    mode — min-of-k is the standard low-noise estimator for a
+    deterministic computation (noise only ever adds).
 
-    The three modes: the retained pure-reference path (``before``), the
-    serial fast path (``after``), and the fast path shipping per-locale
-    blocks to a :data:`WALL_SPMD_POOL`-worker process pool (``spmd``).
-    The row also records the invariant both switches promise: identical
-    results and a bit-identical simulated-seconds total in every mode.
+    The two modes are the retained pure-reference path (``before``) and
+    the fast path (``after``).  The row also records the invariant the
+    switch promises: identical results and a bit-identical
+    simulated-seconds total in both modes.
     """
-    from ..runtime import fastpath, spmd
+    from ..runtime import fastpath
 
-    modes = ((False, 0), (True, 0), (True, WALL_SPMD_POOL))
-    for fast, pool in modes:
-        with fastpath.force(fast), spmd.force(pool):
+    modes = (False, True)
+    for fast in modes:
+        with fastpath.force(fast):
             wall_run(workload, a, frontend_machine("dist"))
-    best = {mode: float("inf") for mode in modes}
-    sim: dict[tuple, float] = {}
-    res: dict[tuple, object] = {}
+    best = {fast: float("inf") for fast in modes}
+    sim: dict[bool, float] = {}
+    res: dict[bool, object] = {}
     for _ in range(reps):
-        for mode in modes:
-            fast, pool = mode
+        for fast in modes:
             m = frontend_machine("dist")
-            with fastpath.force(fast), spmd.force(pool):
+            with fastpath.force(fast):
                 got, wall = _timed(lambda: wall_run(workload, a, m))
-            best[mode] = min(best[mode], wall)
-            sim[mode] = m.ledger.total
-            res[mode] = got
-    ref, fastm, spmdm = modes
+            best[fast] = min(best[fast], wall)
+            sim[fast] = m.ledger.total
+            res[fast] = got
     return {
-        "simulated_s": sim[fastm],
-        "simulated_equal": bool(sim[ref] == sim[fastm]),
-        "results_equal": bool(np.array_equal(res[ref], res[fastm])),
-        "wall_before_s": best[ref],
-        "wall_after_s": best[fastm],
-        "speedup": best[ref] / best[fastm] if best[fastm] else float("inf"),
-        "spmd_simulated_equal": bool(sim[fastm] == sim[spmdm]),
-        "spmd_results_equal": bool(np.array_equal(res[fastm], res[spmdm])),
-        "wall_spmd_s": best[spmdm],
-        "spmd_speedup": best[fastm] / best[spmdm] if best[spmdm] else float("inf"),
+        "simulated_s": sim[True],
+        "simulated_equal": bool(sim[False] == sim[True]),
+        "results_equal": bool(np.array_equal(res[False], res[True])),
+        "wall_before_s": best[False],
+        "wall_after_s": best[True],
+        "speedup": best[False] / best[True] if best[True] else float("inf"),
     }
 
 
 def wall_sweep(graphs=None, reps: int = WALL_REPS) -> dict[str, dict]:
-    """Fast-path before/after/SPMD rows per ``"workload/dist"`` key."""
-    from ..runtime import spmd
-
+    """Fast-path before/after rows per ``"workload/dist"`` key."""
     graphs = wall_graphs() if graphs is None else graphs
-    try:
-        return {f"{w}/dist": _wall_row(w, graphs[w], reps) for w in WALL_WORKLOADS}
-    finally:
-        # don't leak pool workers into whatever the process runs next
-        spmd.shutdown()
+    return {f"{w}/dist": _wall_row(w, graphs[w], reps) for w in WALL_WORKLOADS}
 
 
 def run_wall() -> dict:
@@ -436,8 +416,7 @@ def run_wall() -> dict:
         "schema_version": SCHEMA_VERSION,
         "bench": "wall",
         "description": "simulator fast path (vectorized kernels + plan cache "
-        "+ buffer pool) wall-clock before/after, plus the SPMD process pool "
-        "over the fast path",
+        "+ buffer pool) wall-clock before/after",
         "gate_wall": True,
         "configs": {
             "bfs": {"n": BFS_N, "deg": BFS_DEG},
@@ -450,7 +429,6 @@ def run_wall() -> dict:
             },
             "dist_locales": DIST_P,
             "reps": WALL_REPS,
-            "spmd_pool": WALL_SPMD_POOL,
         },
         "bfs_speedup_floor": WALL_BFS_SPEEDUP_FLOOR,
         "results": wall_sweep(),

@@ -41,6 +41,7 @@ from ..ops.spmv import spmv_dist
 from ..runtime.clock import Breakdown
 from ..runtime.epoch import TransposeCache, bump_epoch
 from ..runtime.locale import Machine
+from ..runtime.tasks import local_time_ft
 from ..sparse.csr import CSRMatrix
 from ..sparse.vector import SparseVector
 from .backend import BackendBase
@@ -205,7 +206,8 @@ class DistBackend(BackendBase):
         per-locale entry counts — so delivery follows |Δ|, not nnz(A),
         and retries whole batches under fault injection.  Each locale then
         merges its share into its own block in place (cost = the slowest
-        locale, coforall semantics).  One ``apply_updates`` row carries
+        locale, coforall semantics, a straggler's merge stretched by its
+        slowdown).  One ``apply_updates`` row carries
         the merge (``apply``) and the delivery.  A failed locale raises at
         entry, before any block is touched or billed.  The storage
         mutation epochs are bumped so identity-anchored plan and transpose
@@ -218,8 +220,9 @@ class DistBackend(BackendBase):
                 f"batch shape {batch.shape} != matrix shape {a.shape}"
             )
         grid = a.grid
-        if self.machine.faults is not None:
-            self.machine.faults.check_grid(grid, "apply_updates")
+        faults = self.machine.faults
+        if faults is not None:
+            faults.check_grid(grid, "apply_updates")
         ups = batch.upserts
         dels = batch.deletes
         ups_d = None if ups is None else DistSparseMatrix.from_global(ups, grid)
@@ -237,7 +240,11 @@ class DistBackend(BackendBase):
                 upserts=None if ups_d is None else ups_d.blocks[k],
                 deletes=None if dels_d is None else dels_d.blocks[k],
             )
-            slowest = max(slowest, apply_cost(self.machine, blk.nnz, local).total)
+            merge = apply_cost(self.machine, blk.nnz, local).total
+            slowest = max(
+                slowest,
+                local_time_ft(merge, faults=faults, locale=k, site="apply_updates"),
+            )
             merged = apply_batch_csr(blk, local, accum=accum)
             blk.rowptr, blk.colidx, blk.values = merged.rowptr, merged.colidx, merged.values
             bump_epoch(blk)

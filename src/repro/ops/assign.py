@@ -197,17 +197,20 @@ def assign_agg_bill(
     """The bill of moving ``nnz_per_locale`` entries between locale 0 and
     their owners as aggregated streams.
 
-    :func:`assign_agg_cost`, plus — under fault injection — the retries of
-    every remote block's get and put legs, each a sequence of flush batches
-    that retry whole (sequence-tagged); their overhead lands in
-    ``Retries``.  Shared by :func:`assign_agg` and the distributed
-    ``apply_updates``, which bills its delta's delivery with it.
+    :func:`assign_agg_cost`, plus — under fault injection — every remote
+    block's get and put legs, each a sequence of flush batches that retry
+    whole (sequence-tagged): their overhead lands in ``Retries``, and the
+    extra goodput of a leg with a straggler endpoint lands in ``assign``
+    (zero, bit for bit, on a leg without one).  Shared by
+    :func:`assign_agg` and the distributed ``apply_updates``, which bills
+    its delta's delivery with it.
     """
     b, _ = assign_agg_cost(machine, nnz_per_locale, agg=agg)
     faults = machine.faults
     if faults is None:
         return b
     cfg = machine.config
+    stretch = 0.0
     retry = 0.0
     for k, n in enumerate(nnz_per_locale):
         n = int(n)
@@ -215,16 +218,18 @@ def assign_agg_bill(
             continue
         cost = flush_cost(cfg, n, agg=agg, local=machine.oversubscribed)
         batches = num_flushes(n, agg.flush_elems)
+        per_batch = cost / batches
         for leg, src_id, dst_id in (("get", k, 0), ("put", 0, k)):
-            _, extra = faults.batched_transfer(
+            goodput, extra = faults.batched_transfer(
                 f"assign_agg.{leg}[{src_id}->{dst_id}]",
                 batches,
-                cost / batches,
+                per_batch,
                 src=src_id,
                 dst=dst_id,
             )
+            stretch += goodput - batches * per_batch
             retry += extra
-    return b + Breakdown({RETRY_STEP: retry})
+    return b + Breakdown({"assign": stretch, RETRY_STEP: retry})
 
 
 def assign_agg(

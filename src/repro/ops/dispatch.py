@@ -146,12 +146,19 @@ class PlanCache:
       (the regression suite in ``tests/ops/test_plan_cache.py`` pins
       this).
 
-    Simulated time is unaffected by construction: the decision span charged
-    by ``Dispatcher._decide`` depends only on the candidate count and the
-    chosen name, and the chosen argmin is re-derived from the (replayed)
-    estimates on every call.  Entries are evicted FIFO past
-    ``max_entries``.  With :mod:`repro.runtime.fastpath` disabled the cache
-    is bypassed entirely.
+    A hit can change simulated time.  The key holds the nnz *bucket*
+    (``bit_length``), not the nnz, so a hit replays estimates priced for
+    another operand in the same bucket, and the argmin re-derived from them
+    can pick a different kernel than fresh pricing would.  Results stay
+    identical; decisions and the ledger do not.  Measured on shared-memory
+    ``bfs_levels`` over directed R-MAT(14, 8, seed 5) from 25 sources
+    (``default_rng(0).choice`` of the vertices with out-edges, without
+    replacement) on one ``ShmBackend`` at 1×24 threads: with the fast path
+    on against :func:`~repro.runtime.fastpath.disabled`, the levels are
+    identical, but 22 of 176 decisions differ and the ledger reads
+    0.07883985143 s against 0.07882718976 s.  ROADMAP item 5 deletes the
+    cache.  Entries are evicted FIFO past ``max_entries``.  With
+    :mod:`repro.runtime.fastpath` disabled the cache is bypassed entirely.
 
     Every hit/miss/eviction also increments the labelled
     ``dispatch.plan_cache`` counter in the telemetry registry (visible in

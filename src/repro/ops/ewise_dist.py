@@ -24,7 +24,6 @@ from ..runtime.aggregation import (
     group_by_owner,
     num_flushes,
 )
-from ..runtime import spmd
 from ..runtime.clock import Breakdown
 from ..runtime.comm import fine_grained
 from ..runtime.faults import RETRY_STEP
@@ -34,14 +33,6 @@ from ..sparse.vector import SparseVector
 from .ewise import ewiseadd_vv, ewisemult_vv
 
 __all__ = ["ewiseadd_dist_vv", "ewisemult_dist_vv", "redistribute"]
-
-
-def _ewise_block_task(kind: str, xb, yb, op):
-    """One locale's blockwise merge — picklable (kind selects the kernel
-    by name, not by closure) so the SPMD pool can run it; custom ops that
-    cannot pickle fall back to master-side compute inside map_blocks."""
-    kernel = ewiseadd_vv if kind == "add" else ewisemult_vv
-    return kernel(xb, yb, op)
 
 
 def redistribute(
@@ -178,7 +169,7 @@ def _blockwise(
     x: DistSparseVector,
     y: DistSparseVector,
     machine: Machine,
-    kind: str,
+    kernel,
     op,
     label: str,
     *,
@@ -199,21 +190,7 @@ def _blockwise(
     faults = machine.faults
     if faults is not None:
         faults.check_grid(x.grid, label)
-    # the per-block merges are independent pure functions — the SPMD pool
-    # runs them in parallel; serially they run inline, in the same order
-    if spmd.enabled():
-        blocks = spmd.map_blocks(
-            _ewise_block_task,
-            [
-                (kind, spmd.handle(xb), spmd.handle(yb), op)
-                for xb, yb in zip(x.blocks, y.blocks)
-            ],
-        )
-    else:
-        blocks = [
-            _ewise_block_task(kind, xb, yb, op)
-            for xb, yb in zip(x.blocks, y.blocks)
-        ]
+    blocks = [kernel(xb, yb, op) for xb, yb in zip(x.blocks, y.blocks)]
     per_locale = []
     for k, (xb, yb) in enumerate(zip(x.blocks, y.blocks)):
         work = (xb.nnz + yb.nnz) * cfg.stream_cost * machine.compute_penalty
@@ -246,7 +223,7 @@ def ewiseadd_dist_vv(
         x,
         y,
         machine,
-        "add",
+        ewiseadd_vv,
         op,
         "ewiseadd_dist",
         redistribute_mode=redistribute_mode,
@@ -269,7 +246,7 @@ def ewisemult_dist_vv(
         x,
         y,
         machine,
-        "mult",
+        ewisemult_vv,
         op,
         "ewisemult_dist_vv",
         redistribute_mode=redistribute_mode,

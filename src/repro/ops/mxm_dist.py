@@ -65,7 +65,6 @@ from ..runtime.aggregation import (
     num_flushes,
     overlap_exposed,
 )
-from ..runtime import spmd
 from ..runtime.clock import Breakdown
 from ..runtime.comm import bulk, bulk_ft
 from ..runtime.faults import RETRY_STEP
@@ -87,14 +86,6 @@ def replication_factors(q: int) -> list[int]:
     re-group exactly as ``c`` layers of ``(q/k)×(q/k)`` coarse cells.
     """
     return [k * k for k in range(2, q + 1) if q % k == 0]
-
-
-def _mxm_stage_task(a_blk, b_blk, semiring, mask_blk=None, complement=False):
-    """One locale's stage-local ESC multiply — the pure compute shipped to
-    SPMD workers; the semiring accumulate into ``acc`` stays on the master
-    (it is a sequential fold over stages).  With a mask block the stage
-    product is pruned before it returns (the fused-mask form)."""
-    return mxm(a_blk, b_blk, semiring=semiring, mask=mask_blk, complement=complement)
 
 
 def _validate(a, b, mask, comm_mode, mask_mode, variant, layers):
@@ -180,39 +171,6 @@ def mxm_dist(
     return out, machine.record("mxm_dist" if c == 1 else "mxm_dist[3d]", bill)
 
 
-def _stage_products(a, b, s, grid, semiring, mask, complement, fused):
-    """Every locale's stage-``s`` local product (SPMD-aware, fused-mask
-    optional)."""
-    mask_blks = (
-        [mask.blocks[loc.id] for loc in grid] if (fused and mask is not None)
-        else [None] * grid.size
-    )
-    if spmd.enabled():
-        return spmd.map_blocks(
-            _mxm_stage_task,
-            [
-                (
-                    spmd.handle(a.block(loc.row, s)),
-                    spmd.handle(b.block(s, loc.col)),
-                    semiring,
-                    None if mask_blks[loc.id] is None else spmd.handle(mask_blks[loc.id]),
-                    complement,
-                )
-                for loc in grid
-            ],
-        )
-    return [
-        _mxm_stage_task(
-            a.block(loc.row, s),
-            b.block(s, loc.col),
-            semiring,
-            mask_blks[loc.id],
-            complement,
-        )
-        for loc in grid
-    ]
-
-
 @dataclass(frozen=True)
 class SummaStats:
     """The sparsity statistics a SUMMA bill reads, as flat row-major lists
@@ -267,14 +225,15 @@ def _fold(a, b, semiring, mask, complement, mask_mode):
     acc: list[CSRMatrix | None] = [None] * grid.size
     stage_prod = []
     for s in range(q):
-        # opt-in SPMD pool: the stage's local multiplies are independent
-        # pure functions of (A(i,s), B(s,j)[, M(i,j)]) — shipped before the
-        # locale loop; blocks travel as handles (once per worker for the
-        # whole SUMMA, since A/B blocks recur across stages).
-        products = _stage_products(a, b, s, grid, semiring, mask, complement, fused)
         for loc in grid:
             k = loc.id
-            c_blk = products[k]
+            c_blk = mxm(
+                a.block(loc.row, s),
+                b.block(s, loc.col),
+                semiring=semiring,
+                mask=mask.blocks[k] if fused else None,
+                complement=complement,
+            )
             stage_prod.append(c_blk.nnz)
             acc[k] = c_blk if acc[k] is None else ewiseadd_mm(acc[k], c_blk, semiring.add)
     # every cell received a product in stage 0, so acc is fully populated

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..distributed.block import GridBlock1D
-from ..runtime import fastpath, spmd
+from ..runtime import fastpath
 from ..distributed.dist_matrix import DistSparseMatrix, DistSparseMatrix1D
 from ..distributed.dist_vector import DistSparseVector
 from ..runtime.aggregation import (
@@ -265,24 +265,12 @@ def _local_spmspv(
     return SparseVector(a.ncols, sorted_inds, spa.values[sorted_inds]), row_nnzs
 
 
-def _spmspv_block_task(a_blk, lx, semiring, sort, mask_slice, complement):
-    """The per-locale pure compute shipped to SPMD workers — exactly the
-    local multiply the serial loop runs, so pooled and serial execution
-    are bit-identical by construction."""
-    return _local_spmspv(
-        a_blk, lx, semiring, sort, mask=mask_slice, complement=complement
-    )
-
-
 def _local_multiplies(a, x, semiring, sort, mask, complement):
     """Steps 1-2 of every locale: ``(ly, row_nnzs)`` in grid order.
 
     The gathered slice ``lx`` is a pure function of the processor ROW
     (every locale of row ``i`` assembles the same parts shifted by the
-    same ``rlo``), so it is built once per row and shared read-only.  With
-    the opt-in SPMD pool every multiply ships to the workers, blocks and
-    slices as :func:`repro.runtime.spmd.handle` tokens (payload once per
-    worker — a BFS iteration re-ships only its frontier slices).
+    same ``rlo``), so it is built once per row and shared read-only.
     """
     grid, layout = a.grid, a.layout
     xb_bounds = x.dist.bounds
@@ -298,23 +286,17 @@ def _local_multiplies(a, x, semiring, sort, mask, complement):
             )
         )
     kept = None if mask is None else np.asarray(mask, dtype=bool)
-    tasks = [
-        (
+    return [
+        _local_spmspv(
             a.block(loc.row, loc.col),
             slices[loc.row],
             semiring,
             sort,
-            None if kept is None else kept[slice(*layout.col_blocks.extent(loc.col))],
-            complement,
+            mask=None if kept is None else kept[slice(*layout.col_blocks.extent(loc.col))],
+            complement=complement,
         )
         for loc in grid
     ]
-    if spmd.enabled():
-        return spmd.map_blocks(
-            _spmspv_block_task,
-            [(spmd.handle(blk), spmd.handle(lx), *rest) for blk, lx, *rest in tasks],
-        )
-    return [_spmspv_block_task(*task) for task in tasks]
 
 
 def spmspv_dist(

@@ -1,7 +1,6 @@
 """The Chapel-like runtime simulator: machine model, locales, tasks, comm."""
 
 from . import fastpath
-from . import spmd
 from .aggregation import (
     BufferPool,
     PoolStats,
@@ -55,7 +54,7 @@ __all__ = [
     "PoolStats", "default_pool", "exchange",
     "flush_cost", "flush_startup", "gather_agg", "gather_agg_ft",
     "group_by_owner", "merge_superstep_batches", "overlap_exposed",
-    "split_exposed", "fastpath", "spmd",
+    "split_exposed", "fastpath",
     "MetricsRegistry", "default_registry", "chrome_trace", "trace_summary",
     "write_chrome_trace", "write_trace_csv", "write_trace_summary",
 ]

@@ -313,11 +313,8 @@ def merge_superstep_batches(
     ``idx_batches``/``val_batches`` are the supersteps' outbound batches in
     **source-locale order** — the order is part of the contract: entries
     with equal global index keep batch order (the stable sort preserves
-    it), which makes the merge bit-identical to a per-owner concatenation
-    regardless of which worker *computed* each batch first.  This is what
-    lets the SPMD pool (:mod:`repro.runtime.spmd`) return per-locale
-    partials in any completion order: the kernel re-assembles batches by
-    task index and this seam's output is a pure function of that sequence.
+    it), which makes the merge bit-identical to a per-owner concatenation:
+    the output is a pure function of the batch sequence.
 
     ``combine(values, starts)`` folds duplicate-index segments (the
     monoid's ``reduceat``); ``argsort(keys, bound)`` supplies the stable

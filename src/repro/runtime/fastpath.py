@@ -14,11 +14,16 @@ families of optimisation live behind this switch:
 * **buffer pooling** — :class:`~repro.runtime.aggregation.BufferPool`
   recycles the exchange layer's numpy scratch arrays across supersteps.
 
-All three change *wall* time only: every fast path produces bit-identical
-results and byte-identical ledgers, which is exactly what the oracle /
-property suites pin.  The switch exists so the differential tests (and the
-``BENCH_wall.json`` before/after ablation) can run both sides in one
-process.
+All three produce bit-identical results, which is what the oracle /
+property suites pin.  The vectorized kernels and buffer pooling also leave
+the ledger byte-identical; plan caching does not.  A cache hit replays
+estimates priced for another operand in the same nnz bucket, so the
+dispatcher can pick another kernel and bill another time
+(:class:`~repro.ops.dispatch.PlanCache` has the measurement: 22 of 176
+shared-memory BFS decisions differ on R-MAT(14, 8), and the ledger total
+moves by 0.016%).  ROADMAP item 5 deletes the cache.  The switch exists
+so the differential tests (and the ``BENCH_wall.json`` before/after
+ablation) can run both sides in one process.
 
 Default: enabled.  Set ``REPRO_FASTPATH=0`` in the environment to start
 disabled, or use :func:`force` / :func:`disabled` for scoped control.

@@ -33,8 +33,7 @@ op entry (:meth:`FaultInjector.check_grid`) and the locale is the
 receiving endpoint.  Keying on the *position* of the draw rather than on
 call order makes the sequences order-independent: two runs of the same
 (plan, policy, workload) observe identical faults even if the per-locale
-work is executed in a different interleaving (the SPMD process pool of
-:mod:`repro.runtime.spmd` relies on this).
+work is executed in a different interleaving.
 """
 
 from __future__ import annotations

@@ -1,414 +1,12 @@
-"""True-parallel SPMD execution: a persistent process pool for per-locale
-kernels.
+"""Empty placeholder for the deleted per-locale process pool.
 
-The simulator's distributed kernels are SPMD programs interpreted
-serially: ``spmspv_dist`` and friends walk ``for loc in grid`` in one
-Python process, so even after the PR 6 fast path the per-locale *compute*
-(the local multiplies, merges, and element-wise kernels — pure functions
-of their block operands) runs on one core.  This module is the opt-in
-escape hatch: a persistent pool of worker processes that the kernels ship
-those per-locale blocks to, CombBLAS-2.0-style hybrid parallelism mapped
-onto the simulator.
-
-Design constraints, in order:
-
-1. **Determinism.**  ``REPRO_SPMD=0`` (serial), ``1``, and ``N`` must be
-   *indistinguishable* except by wall clock: bit-identical results,
-   byte-identical ledgers and metric totals, identical fault-plan
-   outcomes.  Three rules enforce this:
-
-   * workers compute **pure functions only** — every simulated-time,
-     fault-injection, telemetry, and ledger decision stays on the master,
-     in the same loop order as serial execution;
-   * results are collected **by task index**, never by completion order;
-   * the fault PRNG streams are keyed per ``(site, superstep, locale)``
-     (:mod:`repro.runtime.faults`), so no draw depends on call order.
-
-2. **Cheap steady state.**  Workers are persistent (forked once, reused
-   across supersteps) and immutable operands ship as *block handles*:
-   :func:`handle` registers an object once, each worker caches the payload
-   on first receipt, and later supersteps send only the token — a BFS
-   iteration re-ships its frontier, never its matrix blocks.
-
-3. **Graceful degradation.**  Anything unpicklable (a lambda semiring
-   from a property test), a dead worker, or a platform without ``fork``
-   falls back to computing that task on the master — same pure function,
-   same result, no pool-shaped failure modes in the suites.
-
-Default: disabled.  Set ``REPRO_SPMD=N`` in the environment for an
-``N``-process pool, or use :func:`force` / :func:`disabled` for scoped
-control (mirroring :mod:`repro.runtime.fastpath`).  See ``docs/spmd.md``.
+The distributed kernels run every locale's work in one serial loop; the
+opt-in process pool that used to live here was deleted because it never
+paid for its code (0.48x on BFS and 0.55x on triangle in the last
+``BENCH_wall.json`` that measured it).  The module stays only because
+``benchmarks/e2e/tracer.py`` still names a ``runtime.spmd`` layer and
+imports it; with nothing here the tracer reports 0 calls for that layer.
+The next change to the end-to-end benchmark drops the layer from the
+tracer and deletes this file (ROADMAP, "For the next change to the
+end-to-end benchmark").
 """
-
-from __future__ import annotations
-
-import atexit
-import os
-import pickle
-import traceback
-import weakref
-from contextlib import contextmanager
-from itertools import count
-
-__all__ = [
-    "pool_size",
-    "enabled",
-    "set_pool_size",
-    "force",
-    "disabled",
-    "handle",
-    "BlockHandle",
-    "map_blocks",
-    "shutdown",
-    "pool_stats",
-]
-
-
-def _env_pool_size() -> int:
-    raw = os.environ.get("REPRO_SPMD", "0").strip()
-    try:
-        n = int(raw) if raw else 0
-    except ValueError:
-        n = 0
-    return max(n, 0)
-
-
-_POOL_SIZE = _env_pool_size()
-
-#: wall-clock timeout for one worker result; a worker that takes longer is
-#: presumed dead and its tasks are recomputed on the master.
-_RESULT_TIMEOUT_S = 120.0
-
-
-def pool_size() -> int:
-    """Configured worker count (0 = serial execution)."""
-    return _POOL_SIZE
-
-
-def enabled() -> bool:
-    """Whether per-locale kernels are shipped to the worker pool."""
-    return _POOL_SIZE > 0
-
-
-def set_pool_size(n: int) -> int:
-    """Set the pool size; returns the previous value.
-
-    The live pool is resized lazily: the next :func:`map_blocks` call
-    tears down a wrong-sized pool and forks a fresh one.
-    """
-    global _POOL_SIZE
-    previous = _POOL_SIZE
-    _POOL_SIZE = max(int(n), 0)
-    return previous
-
-
-@contextmanager
-def force(n: int):
-    """Scoped override of the pool size (used by the differential suites
-    and the wall ablation to compare pool sizes in one process)."""
-    previous = set_pool_size(n)
-    try:
-        yield
-    finally:
-        set_pool_size(previous)
-
-
-def disabled():
-    """Scoped serial mode: ``with spmd.disabled(): ...``."""
-    return force(0)
-
-
-# ---------------------------------------------------------------------------
-# block handles: ship immutable operands once per worker
-# ---------------------------------------------------------------------------
-
-
-class BlockHandle:
-    """A pickle-cheap reference to a registered immutable block.
-
-    Kernels wrap operands that persist across supersteps (matrix blocks,
-    shared row slices) in a handle; :func:`map_blocks` ships the payload
-    to each worker at most once and the token (two small ints) afterwards.
-    """
-
-    __slots__ = ("token", "obj")
-
-    def __init__(self, token: int, obj: object) -> None:
-        self.token = token
-        self.obj = obj
-
-    def __repr__(self) -> str:  # pragma: no cover - trivial
-        return f"BlockHandle({self.token})"
-
-
-_token_counter = count(1)
-#: id(obj) -> (token, finalizer); invalidated the instant the object dies,
-#: before its id can be reused, so a stale token can never alias new data.
-_live_tokens: dict[int, tuple[int, object]] = {}
-
-
-def _forget(obj_id: int, token: int) -> None:
-    entry = _live_tokens.get(obj_id)
-    if entry is not None and entry[0] == token:
-        del _live_tokens[obj_id]
-    pool = _pool
-    if pool is not None:
-        pool.evict(token)
-
-
-def handle(obj: object) -> BlockHandle:
-    """Register ``obj`` for once-per-worker shipping; returns its handle.
-
-    Token identity is tied to *object* identity through a weakref
-    finalizer, so the same block re-handled next superstep reuses its
-    token (and the worker-side cache), while a freed block's token is
-    evicted before CPython can reuse its id.  Objects that cannot be
-    weak-referenced get a fresh token each call — correct, just
-    re-shipped.
-    """
-    obj_id = id(obj)
-    entry = _live_tokens.get(obj_id)
-    if entry is not None:
-        return BlockHandle(entry[0], obj)
-    token = next(_token_counter)
-    try:
-        finalizer = weakref.finalize(obj, _forget, obj_id, token)
-    except TypeError:
-        return BlockHandle(token, obj)
-    _live_tokens[obj_id] = (token, finalizer)
-    return BlockHandle(token, obj)
-
-
-# ---------------------------------------------------------------------------
-# the worker pool
-# ---------------------------------------------------------------------------
-
-
-def _worker_main(inbox, outbox) -> None:  # pragma: no cover - subprocess
-    """Worker loop: resolve handles against the local cache, run the pure
-    kernel under the master's fast-path flag, reply by task index."""
-    from . import fastpath
-
-    cache: dict[int, object] = {}
-    while True:
-        msg = inbox.get()
-        if isinstance(msg, bytes):  # a task, pre-pickled by the master
-            msg = pickle.loads(msg)
-        kind = msg[0]
-        if kind == "stop":
-            break
-        if kind == "evict":
-            cache.pop(msg[1], None)
-            continue
-        _, batch, idx, fast_flag, fn, args = msg
-        try:
-            resolved = []
-            for tag, *rest in args:
-                if tag == "v":  # plain value
-                    resolved.append(rest[0])
-                elif tag == "h":  # cached handle
-                    resolved.append(cache[rest[0]])
-                else:  # "hp": handle + payload — cache then use
-                    cache[rest[0]] = rest[1]
-                    resolved.append(rest[1])
-            with fastpath.force(fast_flag):
-                outbox.put((batch, idx, True, fn(*resolved)))
-        except BaseException as exc:  # noqa: BLE001 - re-raised on master
-            outbox.put(
-                (
-                    batch,
-                    idx,
-                    False,
-                    f"{type(exc).__name__}: {exc}\n{traceback.format_exc()}",
-                )
-            )
-
-
-class _Pool:
-    """A persistent fork-server-free process pool with per-worker inboxes.
-
-    Task ``i`` always goes to worker ``i % size`` — a deterministic
-    placement that lets the master track exactly which worker holds which
-    block payload (the handle protocol needs per-worker shipped sets).
-    """
-
-    def __init__(self, size: int) -> None:
-        import multiprocessing as mp
-
-        method = "fork" if "fork" in mp.get_all_start_methods() else "spawn"
-        self._ctx = mp.get_context(method)
-        self.size = size
-        self.start_method = method
-        self._outbox = self._ctx.Queue()
-        self._inboxes = []
-        self._procs = []
-        self._batch = count(1)
-        self.sent: list[set[int]] = [set() for _ in range(size)]
-        for _ in range(size):
-            inbox = self._ctx.Queue()
-            proc = self._ctx.Process(
-                target=_worker_main, args=(inbox, self._outbox), daemon=True
-            )
-            proc.start()
-            self._inboxes.append(inbox)
-            self._procs.append(proc)
-
-    def alive(self) -> bool:
-        return all(p.is_alive() for p in self._procs)
-
-    def next_batch(self) -> int:
-        return next(self._batch)
-
-    def submit(self, worker: int, message: tuple) -> None:
-        self._inboxes[worker].put(message)
-
-    def collect(self, timeout: float = _RESULT_TIMEOUT_S):
-        return self._outbox.get(timeout=timeout)
-
-    def evict(self, token: int) -> None:
-        for w, inbox in enumerate(self._inboxes):
-            if token in self.sent[w]:
-                self.sent[w].discard(token)
-                try:
-                    inbox.put(("evict", token))
-                except (OSError, ValueError):  # pragma: no cover - teardown race
-                    pass
-
-    def shutdown(self) -> None:
-        for inbox in self._inboxes:
-            try:
-                inbox.put(("stop",))
-            except (OSError, ValueError):  # pragma: no cover - teardown race
-                pass
-        for proc in self._procs:
-            proc.join(timeout=5.0)
-            if proc.is_alive():  # pragma: no cover - stuck worker
-                proc.terminate()
-                proc.join(timeout=1.0)
-        for q in (*self._inboxes, self._outbox):
-            q.close()
-
-
-_pool: _Pool | None = None
-
-#: lifetime counters for observability (``spmd.*`` metrics mirror these)
-_stats = {"tasks_pooled": 0, "tasks_local": 0, "payload_sends": 0, "handle_hits": 0}
-
-
-def pool_stats() -> dict[str, int]:
-    """Lifetime task/handle counters (wall-clock observability only)."""
-    return dict(_stats)
-
-
-def _ensure_pool() -> _Pool | None:
-    """The live pool at the configured size, (re)forking as needed."""
-    global _pool
-    if _POOL_SIZE <= 0:
-        return None
-    if _pool is not None and (_pool.size != _POOL_SIZE or not _pool.alive()):
-        _pool.shutdown()
-        _pool = None
-    if _pool is None:
-        _pool = _Pool(_POOL_SIZE)
-    return _pool
-
-
-def shutdown() -> None:
-    """Tear down the worker pool (it re-forks lazily on next use)."""
-    global _pool
-    if _pool is not None:
-        _pool.shutdown()
-        _pool = None
-
-
-atexit.register(shutdown)
-
-
-def _encode(args: tuple, worker: int, pool: _Pool) -> list[tuple]:
-    """Wire-encode one task's args for ``worker``, applying the handle
-    protocol: payload on first send to that worker, token afterwards."""
-    encoded: list[tuple] = []
-    for a in args:
-        if isinstance(a, BlockHandle):
-            if a.token in pool.sent[worker]:
-                _stats["handle_hits"] += 1
-                encoded.append(("h", a.token))
-            else:
-                _stats["payload_sends"] += 1
-                pool.sent[worker].add(a.token)
-                encoded.append(("hp", a.token, a.obj))
-        else:
-            encoded.append(("v", a))
-    return encoded
-
-
-def _run_local(fn, args: tuple):
-    return fn(*(a.obj if isinstance(a, BlockHandle) else a for a in args))
-
-
-def map_blocks(fn, tasks: list[tuple]) -> list:
-    """Run ``fn(*task)`` for every task, pooled when enabled; results in
-    task order.
-
-    ``fn`` must be a picklable module-level **pure** function — no
-    simulated time, no fault draws, no telemetry (those belong to the
-    master's loop so ledgers and metrics reduce identically at any pool
-    size).  Task args may contain :class:`BlockHandle` entries.  A task
-    whose payload cannot pickle is computed on the master instead —
-    bit-identical, since the pure function is the same either way.
-
-    Pool observability lives in :func:`pool_stats` and the Chrome-trace
-    ``otherData`` block, deliberately NOT in the metrics registry: registry
-    totals are part of the determinism contract (bit-identical at every
-    pool size), and a pooled-task counter would violate it by existing.
-    """
-    pool = _ensure_pool()
-    if pool is None or len(tasks) <= 1:
-        _stats["tasks_local"] += len(tasks)
-        return [_run_local(fn, t) for t in tasks]
-
-    batch = pool.next_batch()
-    fast_flag = _fastpath_flag()
-    results: list = [None] * len(tasks)
-    pending: set[int] = set()
-    for idx, args in enumerate(tasks):
-        worker = idx % pool.size
-        sent_before = set(pool.sent[worker])
-        encoded = _encode(args, worker, pool)
-        try:
-            payload = pickle.dumps(
-                ("task", batch, idx, fast_flag, fn, encoded),
-                protocol=pickle.HIGHEST_PROTOCOL,
-            )
-        except Exception:  # unpicklable op/operand: master computes it
-            pool.sent[worker] = sent_before  # roll back handle bookkeeping
-            results[idx] = _run_local(fn, args)
-            _stats["tasks_local"] += 1
-            continue
-        pool.submit(worker, payload)
-        pending.add(idx)
-        _stats["tasks_pooled"] += 1
-
-    try:
-        while pending:
-            got_batch, idx, ok, value = pool.collect()
-            if got_batch != batch:  # stale reply from an aborted batch
-                continue
-            if not ok:
-                raise RuntimeError(f"SPMD worker task {idx} failed: {value}")
-            results[idx] = value
-            pending.discard(idx)
-    except Exception:
-        if pending and not pool.alive():  # pragma: no cover - crashed worker
-            shutdown()
-            for idx in sorted(pending):
-                results[idx] = _run_local(fn, tasks[idx])
-            return results
-        raise
-    return results
-
-
-def _fastpath_flag() -> bool:
-    from . import fastpath
-
-    return fastpath.enabled()

@@ -118,21 +118,12 @@ def chrome_trace(trace: Trace, *, machine: "Machine | None" = None) -> dict:
                         {"op_index": idx, "component": child.component, "retry": retry},
                     )
                 )
-    # lazy import: spmd pulls the telemetry registry in at call time, so a
-    # module-scope import here would close a cycle through this package
-    from .. import spmd
-
     return {
         "displayTimeUnit": "ms",
         "otherData": {
             "makespan_s": trace.makespan,
             "num_locales": num_locales,
             "num_ops": len(trace.roots),
-            # wall-clock execution mode only — the simulated spans above
-            # are identical at every pool size, and their tids are the
-            # stable locale ids, never worker/completion order
-            "spmd_pool_size": spmd.pool_size(),
-            "spmd_stats": spmd.pool_stats(),
         },
         "traceEvents": events,
     }

@@ -7,9 +7,9 @@ and executing a batch advances the clock by the simulated seconds the
 run charged to the machine's ledger — so end-to-end request latency is
 a simulated quantity that composes exactly with kernel costs.
 
-Determinism is the contract (mirroring ``REPRO_SPMD`` and the fault
-PRNG streams): events pop in ``(time, tiebreak, seq)`` order where the
-tiebreak is drawn from a seeded PRNG at *schedule* time.  Two runs with
+Determinism is the contract (mirroring the fault PRNG streams): events
+pop in ``(time, tiebreak, seq)`` order where the tiebreak is drawn from
+a seeded PRNG at *schedule* time.  Two runs with
 the same seed and the same schedule calls replay bit-identically —
 results, ledgers, metric totals; a different seed may reorder
 same-instant events (the interleavings the service tests explore)

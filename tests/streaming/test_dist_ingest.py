@@ -61,6 +61,23 @@ def apply_once(p, a, bt, faults=None):
     return b, h, list(b.machine.ledger.entries)
 
 
+def merge_costs(p, a, bt) -> list[float]:
+    """Each locale's ``apply_cost`` of merging its share of ``bt`` into
+    its block of ``a``, in locale order."""
+    m = machine(p)
+    before = DistSparseMatrix.from_global(a, m.grid)
+    ups = DistSparseMatrix.from_global(bt.upserts, m.grid)
+    dels = DistSparseMatrix.from_global(bt.deletes, m.grid)
+    return [
+        apply_cost(
+            m,
+            blk.nnz,
+            UpdateBatch(blk.nrows, blk.ncols, upserts=ups.blocks[k], deletes=dels.blocks[k]),
+        ).total
+        for k, blk in enumerate(before.blocks)
+    ]
+
+
 def delta_counts(bt, grid) -> np.ndarray:
     return sum(
         DistSparseMatrix.from_global(d, grid).nnz_per_locale()
@@ -80,18 +97,8 @@ class TestOneRowPerBatch:
 
     def test_apply_is_the_slowest_local_merge(self, p):
         a, bt = erdos_renyi(64, 4, seed=1), batch(64, 2)
-        b, _, rows = apply_once(p, a, bt)
-        grid = b.machine.grid
-        before = DistSparseMatrix.from_global(a, grid)
-        ups = DistSparseMatrix.from_global(bt.upserts, grid)
-        dels = DistSparseMatrix.from_global(bt.deletes, grid)
-        slowest = 0.0
-        for k, blk in enumerate(before.blocks):
-            local = UpdateBatch(
-                blk.nrows, blk.ncols, upserts=ups.blocks[k], deletes=dels.blocks[k]
-            )
-            slowest = max(slowest, apply_cost(machine(p), blk.nnz, local).total)
-        assert rows[0][1]["apply"] == slowest
+        _, _, rows = apply_once(p, a, bt)
+        assert rows[0][1]["apply"] == max(merge_costs(p, a, bt))
 
     def test_delivery_is_the_assign_agg_bill_over_the_delta(self, p):
         a, bt = erdos_renyi(64, 4, seed=1), batch(64, 2)
@@ -124,13 +131,13 @@ class TestOneRowPerBatch:
 @pytest.mark.parametrize("p", [4, 6])
 class TestCoveredFaults:
     PLAN = FaultPlan(seed=3, transient_rate=0.5, max_burst=2, stragglers={1: 2.0})
+    GRAPH = erdos_renyi(96, 4, seed=1)
+    BATCHES = [batch(96, 10 + i, k=48) for i in range(3)]
 
     def run(self, p, faults):
-        a = erdos_renyi(96, 4, seed=1)
-        batches = [batch(96, 10 + i, k=48) for i in range(3)]
         b = DistBackend(machine(p, faults))
-        s = GraphStream(b, a, registry=MetricsRegistry())
-        s.ingest(batches)
+        s = GraphStream(b, self.GRAPH, registry=MetricsRegistry())
+        s.ingest(self.BATCHES)
         return b.to_csr(s.handle), list(b.machine.ledger.entries)
 
     def test_results_equal_fault_free_and_retries_share_the_row(self, p):
@@ -143,13 +150,45 @@ class TestCoveredFaults:
         ]
         assert all("Retries" in bd for _, bd in rows)
         assert sum(bd["Retries"] for _, bd in rows) > 0.0
-        # the merge itself is not retried
-        assert [bd["apply"] for _, bd in rows] == [bd["apply"] for _, bd in clean_rows]
+        # the merge itself is not retried, but the straggler's is stretched
+        slow = [self.PLAN.stragglers.get(k, 1.0) for k in range(p)]
+        a, want = self.GRAPH, []
+        for bt in self.BATCHES:
+            want.append(max(s * c for s, c in zip(slow, merge_costs(p, a, bt))))
+            a = apply_batch_csr(a, bt)
+        assert [bd["apply"] for _, bd in rows] == want
 
     def test_replay_reproduces_the_ledger(self, p):
         _, first = self.run(p, FaultInjector(self.PLAN, POLICY))
         _, again = self.run(p, FaultInjector(self.PLAN, POLICY))
         assert first == again
+
+
+@pytest.mark.parametrize("p", [4, 6])
+class TestStraggler:
+    """A slow locale stretches its own merge and every delivery leg it
+    ends; without one, a faulty run bills the fault-free merge and
+    delivery bit for bit."""
+
+    def test_straggler_stretches_merge_and_delivery(self, p):
+        a, bt = erdos_renyi(64, 4, seed=1), batch(64, 2)
+        plan = FaultPlan(stragglers={1: 2.0})
+        b, _, clean = apply_once(p, a, bt)
+        _, _, rows = apply_once(p, a, bt, FaultInjector(plan, POLICY))
+        slow = [plan.stragglers.get(k, 1.0) for k in range(p)]
+        assert rows[0][1]["apply"] == max(s * c for s, c in zip(slow, merge_costs(p, a, bt)))
+        assert delta_counts(bt, b.machine.grid)[1] > 0
+        assert sum(delivery(rows[0][1]).values()) > sum(delivery(clean[0][1]).values())
+        assert rows[0][1]["Retries"] == 0.0
+
+    def test_transients_alone_bill_the_fault_free_merge_and_delivery(self, p):
+        a, bt = erdos_renyi(64, 4, seed=1), batch(64, 2)
+        plan = FaultPlan(seed=3, transient_rate=0.9, max_burst=2)
+        _, _, clean = apply_once(p, a, bt)
+        _, _, rows = apply_once(p, a, bt, FaultInjector(plan, POLICY))
+        assert rows[0][1]["apply"] == clean[0][1]["apply"]
+        assert rows[0][1]["assign"] == clean[0][1]["assign"]
+        assert rows[0][1]["Retries"] > 0.0
 
 
 class TestFailedApply:
