@@ -5,7 +5,8 @@ PYTHON ?= python
 .PHONY: install test test-fast test-props test-chaos test-algos test-telemetry test-streaming test-service bench bench-agg bench-frontend bench-wall bench-spgemm bench-streaming bench-service bench-e2e bench-gate bench-full figures report examples clean
 
 # coverage flags only when pytest-cov is importable (it is optional; the
-# floor pins the fault/retry machinery in src/repro/runtime/)
+# floor pins the fault/retry machinery in src/repro/runtime/, and
+# test-chaos warns when it is skipped)
 COV := $(shell $(PYTHON) -c "import pytest_cov" 2>/dev/null && \
 	echo --cov=repro.runtime --cov-report=term-missing --cov-fail-under=85)
 
@@ -22,6 +23,7 @@ test-props:          ## full property suite (slow tier included, 100 examples)
 	REPRO_RUN_SLOW=1 REPRO_TEST_PROFILE=standard $(PYTHON) -m pytest tests/test_properties.py tests/ops/test_dispatch.py
 
 test-chaos:          ## chaos suite + runtime tests (REPRO_TEST_PROFILE=quick|standard|slow)
+	$(if $(COV),,$(warning pytest-cov does not import: test-chaos skips its 85% repro.runtime coverage floor (--cov-fail-under=85)))
 	REPRO_TEST_PROFILE=$${REPRO_TEST_PROFILE:-standard} \
 	    $(PYTHON) -m pytest tests/chaos/ tests/runtime/ -m "chaos or not slow" $(COV)
 

@@ -89,11 +89,7 @@ class Monoid:
         # *interior* segments (starts[k] == starts[k+1]) come out of
         # reduceat as values[starts[k]] and are overwritten with the
         # identity too.
-        if isinstance(self.identity, float) and not np.isfinite(self.identity):
-            out_dtype = np.result_type(values.dtype, np.float64)
-        else:
-            out_dtype = values.dtype
-        out = np.full(starts.size, self.identity, dtype=out_dtype)
+        out = np.full(starts.size, self.identity, dtype=self._out_dtype(values))
         valid = starts < values.size
         if values.size and valid.any():
             out[valid] = ufunc.reduceat(values, starts[valid])
@@ -115,11 +111,36 @@ class Monoid:
             return _generic_reduceat(self, values, np.asarray(starts, dtype=np.int64))
         if starts.size == 0:
             return np.empty(0, dtype=values.dtype)
+        return ufunc.reduceat(values, starts).astype(self._out_dtype(values), copy=False)
+
+    def scatter_reduce(
+        self, values: np.ndarray, indices: np.ndarray, size: int
+    ) -> np.ndarray:
+        """Dense ``out[k] = ⊕ values[indices == k]`` for ``k < size``.
+
+        The op's ufunc folds ``values`` into ``out`` in entry order,
+        starting from the identity (``ufunc.at``: no sort); an index that
+        no value hits keeps the identity.  A monoid with no ufunc sorts
+        the values by index (stable) and runs :meth:`reduceat` instead.
+        """
+        values = np.asarray(values)
+        indices = np.asarray(indices, dtype=np.int64)
+        ufunc = _UFUNCS.get(self.op.name)
+        if ufunc is None:
+            order = np.argsort(indices, kind="stable")
+            starts = np.zeros(size, dtype=np.int64)
+            np.cumsum(np.bincount(indices, minlength=size)[:-1], out=starts[1:])
+            return self.reduceat(values[order], starts)
+        out = np.full(size, self.identity, dtype=self._out_dtype(values))
+        ufunc.at(out, indices, values)
+        return out
+
+    def _out_dtype(self, values: np.ndarray) -> np.dtype:
+        """Result dtype of a reduction of ``values``: widened to float when
+        the identity is a non-finite float (``±inf`` of min/max)."""
         if isinstance(self.identity, float) and not np.isfinite(self.identity):
-            out_dtype = np.result_type(values.dtype, np.float64)
-        else:
-            out_dtype = values.dtype
-        return ufunc.reduceat(values, starts).astype(out_dtype, copy=False)
+            return np.result_type(values.dtype, np.float64)
+        return values.dtype
 
     def __repr__(self) -> str:  # pragma: no cover - trivial
         return f"Monoid({self.op.name}, identity={self.identity!r})"

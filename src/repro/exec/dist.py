@@ -37,7 +37,7 @@ from ..ops.matrix_dist import (
     transpose_any,
 )
 from ..ops.reduce import reduce_dist_vector
-from ..ops.spmv import spmv_dist
+from ..ops.spmv import spmv_dist, vxm_dense_dist
 from ..runtime.clock import Breakdown
 from ..runtime.epoch import TransposeCache, bump_epoch
 from ..runtime.locale import Machine
@@ -294,8 +294,10 @@ class DistBackend(BackendBase):
         self, x: np.ndarray, a: DistSparseMatrix, *, semiring: Semiring = PLUS_TIMES
     ) -> np.ndarray:
         """``y = x ⊗ A`` over replicated dense state (distributed SpMV on
-        the cached transpose)."""
-        return self.mxv_dense(self.transpose(a), x, semiring=semiring)
+        A's own blocks; nothing is transposed)."""
+        xd = DistDenseVector.from_global(np.asarray(x), self.machine.grid)
+        y, _ = vxm_dense_dist(xd, a, self.machine, semiring=semiring)
+        return y.gather(faults=self.machine.faults).values
 
     def mxv_dense(
         self, a: DistSparseMatrix, x: np.ndarray, *, semiring: Semiring = PLUS_TIMES

@@ -42,7 +42,7 @@ from .reduce import (
 from .dispatch import PULL, PUSH_MERGE, PUSH_RADIX, PUSH_SORTBASED, Decision, Dispatcher
 from .spmspv import bulk_scatter_cost, spmspv_dist, spmspv_dist_1d, spmspv_shm
 from .spmspv_merge import spmspv_shm_merge
-from .spmv import spmv, spmv_dist, vxm_dense, vxm_pull
+from .spmv import spmv, spmv_dist, vxm_dense, vxm_dense_dist, vxm_pull
 from .transpose import transpose, transpose_dist
 
 __all__ = [
@@ -68,7 +68,7 @@ __all__ = [
     "select_vector", "select_dist_vector",
     "spmspv_shm", "spmspv_shm_merge", "spmspv_dist", "spmspv_dist_1d",
     "bulk_scatter_cost",
-    "spmv", "vxm_dense", "vxm_pull", "spmv_dist",
+    "spmv", "vxm_dense", "vxm_pull", "spmv_dist", "vxm_dense_dist",
     "Dispatcher", "Decision", "PUSH_MERGE", "PUSH_RADIX", "PUSH_SORTBASED", "PULL",
     "mxm", "mxm_gustavson", "flops",
     "extract_vector", "extract_matrix", "extract_row", "extract_col",

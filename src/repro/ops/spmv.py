@@ -8,7 +8,9 @@ a row-wise segmented reduction does everything.
 
 Also provides ``vxm`` (vector × matrix, the orientation SpMSpV generalises),
 the *pull*-direction :func:`vxm_pull` used by the direction-optimizing
-dispatcher, and a distributed SpMV used by PageRank-style iterations.
+dispatcher, and the distributed dense SpMV in both orientations
+(:func:`spmv_dist`, :func:`vxm_dense_dist`) used by PageRank-style
+iterations, which share one bill.
 """
 
 from __future__ import annotations
@@ -18,14 +20,14 @@ import numpy as np
 from ..distributed.dist_matrix import DistSparseMatrix
 from ..distributed.dist_vector import DistDenseVector
 from ..runtime.clock import Breakdown
-from ..runtime.comm import allgather, bulk
+from ..runtime.comm import allgather
 from ..runtime.locale import Machine
-from ..runtime.tasks import coforall_spawn, makespan, parallel_time
+from ..runtime.tasks import coforall_spawn, local_time_ft, makespan, parallel_time
 from ..sparse.csr import CSRMatrix
 from ..sparse.vector import DenseVector, SparseVector
 from ..algebra.semiring import PLUS_TIMES, Semiring
 
-__all__ = ["spmv", "vxm_dense", "vxm_pull", "vxm_pull_cost", "spmv_dist"]
+__all__ = ["spmv", "vxm_dense", "vxm_pull", "vxm_pull_cost", "spmv_dist", "vxm_dense_dist"]
 
 #: component labels of the pull kernel's breakdown
 DENSIFY_STEP = "Densify"
@@ -61,20 +63,18 @@ def vxm_dense(
 ) -> DenseVector:
     """``y = x ⊗ A`` with dense ``x``: ``y[j] = ⊕_i x[i] ⊗ A[i,j]``.
 
-    Implemented as the transpose orientation of :func:`spmv` without
-    materialising Aᵀ: products are formed in CSR order and combined into
-    the output by column with an ordered segmented pass over Aᵀ.
+    The push orientation of :func:`spmv`, on ``A`` itself: every stored
+    entry forms ``x[i] ⊗ A[i,j]`` in GraphBLAS operand order, and the
+    additive monoid folds the products into ``y[j]`` in CSR entry order
+    (rows ascending within a column) from the identity, with no sort
+    (:meth:`~repro.algebra.monoid.Monoid.scatter_reduce`).  Columns with
+    no stored entries produce the semiring's zero.
     """
     xv = x.values if isinstance(x, DenseVector) else np.asarray(x)
     if xv.size != a.nrows:
         raise ValueError(f"x has {xv.size} entries for {a.nrows} rows")
-    products = np.asarray(semiring.mult(xv[a.row_indices()], a.values))
-    # order products by column (stable: rows ascending within a column)
-    order = np.argsort(a.colidx, kind="stable")
-    colptr = np.zeros(a.ncols + 1, dtype=np.int64)
-    np.cumsum(np.bincount(a.colidx, minlength=a.ncols), out=colptr[1:])
-    out = np.asarray(semiring.add.reduceat(products[order], colptr[:-1]))
-    return DenseVector(out)
+    products = np.asarray(semiring.mult(np.repeat(xv, np.diff(a.rowptr)), a.values))
+    return DenseVector(np.asarray(semiring.add.scatter_reduce(products, a.colidx, a.ncols)))
 
 
 def vxm_pull_cost(
@@ -193,6 +193,46 @@ def vxm_pull(
     return y, machine.record("vxm_pull", b)
 
 
+def _spmv_dist_bill(a: DistSparseMatrix, machine: Machine, *, vxm: bool) -> Breakdown:
+    """The one bill of distributed dense SpMV, for both orientations.
+
+    Each locale gathers the slice of ``x`` its block multiplies (the
+    block's column range for ``A ⊗ x``, its row range for ``x ⊗ A``),
+    touches every stored entry once at ``stream_cost``, and reduces the
+    slice of ``y`` it produces.  The pull side's gather of ``x`` and the
+    push side's fold into ``y`` are priced alike: each touches one
+    block-wide dense array at random.  A failed locale raises before
+    anything is billed; a straggler stretches its multiply.
+    """
+    cfg = machine.config
+    grid = a.grid
+    faults = machine.faults
+    if faults is not None:
+        faults.check_grid(grid, "spmv_dist")
+    per_locale: list[Breakdown] = []
+    for loc in grid:
+        rlo, rhi, clo, chi = a.layout.extent(loc.row, loc.col)
+        x_len, y_len = (rhi - rlo, chi - clo) if vxm else (chi - clo, rhi - rlo)
+        multiply = parallel_time(
+            cfg,
+            a.block(loc.row, loc.col).nnz * cfg.stream_cost * machine.compute_penalty,
+            machine.threads_per_locale,
+        )
+        per_locale.append(
+            Breakdown(
+                {
+                    "gather": allgather(cfg, grid.cols, x_len * 8 // max(grid.rows, 1)),
+                    "multiply": local_time_ft(
+                        multiply, faults=faults, locale=loc.id, site="spmv_dist"
+                    ),
+                    "reduce": allgather(cfg, grid.cols, y_len * 8),
+                }
+            )
+        )
+    spawn = coforall_spawn(cfg, machine.num_locales, machine.locales_per_node)
+    return Breakdown({"gather": spawn}) + Breakdown.parallel(per_locale)
+
+
 def spmv_dist(
     a: DistSparseMatrix,
     x: DistDenseVector,
@@ -200,58 +240,63 @@ def spmv_dist(
     *,
     semiring: Semiring = PLUS_TIMES,
 ) -> tuple[DistDenseVector, Breakdown]:
-    """Distributed dense-vector SpMV on the 2-D distribution.
+    """Distributed ``y = A ⊗ x`` with a dense ``x`` on the 2-D distribution.
 
-    Per locale: allgather the row-block slice of ``x`` along the processor
-    *column* teams is not needed for CSR×dense in the ``y = A x``
-    orientation — each locale needs the **column**-block slice of ``x``
-    (gathered along its processor column) and contributes a partial of the
-    **row**-block slice of ``y`` (reduced along its processor row).  Both
-    phases use bulk collectives; this operation exists to power iterative
-    algorithms (PageRank) at realistic simulated cost.
+    Each locale multiplies its block by the column-block slice of ``x``
+    (:func:`spmv`) into a partial of its row-block slice of ``y``; the
+    partials are combined across each processor row in locale-column
+    order.  Billed by :func:`_spmv_dist_bill`.
     """
     if x.capacity != a.ncols:
         raise ValueError("x capacity must equal the matrix column count")
-    cfg = machine.config
+    b = _spmv_dist_bill(a, machine, vxm=False)
     grid = a.grid
     layout = a.layout
-    threads = machine.threads_per_locale
-    spawn = coforall_spawn(cfg, machine.num_locales, machine.locales_per_node)
-
     xg = x.gather().values
-    per_locale: list[Breakdown] = []
-    # partial row-block results per grid cell
-    partials: dict[tuple[int, int], np.ndarray] = {}
-    for loc in grid:
-        i, j = loc.row, loc.col
-        rlo, rhi, clo, chi = layout.extent(i, j)
-        blk = a.block(i, j)
-        lx = xg[clo:chi]
-        products = np.asarray(semiring.mult(blk.values, lx[blk.colidx]))
-        ly = np.asarray(semiring.add.reduceat(products, blk.rowptr[:-1]))
-        partials[(i, j)] = ly
-        gather_t = allgather(cfg, grid.cols, (chi - clo) * 8 // max(grid.rows, 1))
-        compute_t = parallel_time(
-            cfg,
-            blk.nnz * cfg.stream_cost * machine.compute_penalty,
-            threads,
-        )
-        reduce_t = allgather(cfg, grid.cols, (rhi - rlo) * 8)
-        per_locale.append(
-            Breakdown(
-                {"gather": gather_t, "multiply": compute_t, "reduce": reduce_t}
-            )
-        )
-
-    # reduce partials across each processor row, then split per locale
     out_global = np.full(a.nrows, semiring.zero, dtype=np.float64)
-    row_bounds = layout.row_blocks.bounds
     for i in range(grid.rows):
-        rlo, rhi = int(row_bounds[i]), int(row_bounds[i + 1])
-        acc = partials[(i, 0)]
-        for j in range(1, grid.cols):
-            acc = np.asarray(semiring.add.op(acc, partials[(i, j)]))
+        acc = None
+        for j in range(grid.cols):
+            clo, chi = layout.col_blocks.extent(j)
+            part = spmv(a.block(i, j), xg[clo:chi], semiring=semiring).values
+            acc = part if acc is None else np.asarray(semiring.add.op(acc, part))
+        rlo, rhi = layout.row_blocks.extent(i)
         out_global[rlo:rhi] = acc
     y = DistDenseVector.from_global(out_global, grid)
-    b = Breakdown({"gather": spawn}) + Breakdown.parallel(per_locale)
+    return y, machine.record("spmv_dist", b)
+
+
+def vxm_dense_dist(
+    x: DistDenseVector,
+    a: DistSparseMatrix,
+    machine: Machine,
+    *,
+    semiring: Semiring = PLUS_TIMES,
+) -> tuple[DistDenseVector, Breakdown]:
+    """Distributed ``y = x ⊗ A`` with a dense ``x``, on A's own blocks.
+
+    Each locale multiplies its block by the row-block slice of ``x`` in
+    GraphBLAS operand order (``x[i] ⊗ A[i,j]``) and folds the products
+    into a dense partial of its column-block slice of ``y``
+    (:func:`vxm_dense`); the partials are combined down each processor
+    column in locale-row order.  No ``Aᵀ`` is built.  Billed by
+    :func:`_spmv_dist_bill`, so on a square grid the row equals the one
+    :func:`spmv_dist` records over ``Aᵀ``.
+    """
+    if x.capacity != a.nrows:
+        raise ValueError("x capacity must equal the matrix row count")
+    b = _spmv_dist_bill(a, machine, vxm=True)
+    grid = a.grid
+    layout = a.layout
+    xg = x.gather().values
+    out_global = np.full(a.ncols, semiring.zero, dtype=np.float64)
+    for j in range(grid.cols):
+        acc = None
+        for i in range(grid.rows):
+            rlo, rhi = layout.row_blocks.extent(i)
+            part = vxm_dense(xg[rlo:rhi], a.block(i, j), semiring=semiring).values
+            acc = part if acc is None else np.asarray(semiring.add.op(acc, part))
+        clo, chi = layout.col_blocks.extent(j)
+        out_global[clo:chi] = acc
+    y = DistDenseVector.from_global(out_global, grid)
     return y, machine.record("spmv_dist", b)

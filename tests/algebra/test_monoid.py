@@ -101,6 +101,45 @@ class TestReduceat:
         assert np.array_equal(out, [10.0, 20.0])
 
 
+
+def scatter_reduce_loop(m, values, indices, size):
+    """Reference fold: ``out[k] = op(out[k], v)`` in entry order from the
+    identity — the order ``scatter_reduce`` promises."""
+    out = [m.identity] * size
+    for k, v in zip(indices, values):
+        out[k] = m.op(out[k], v)
+    return out
+
+
+class TestScatterReduce:
+    @pytest.mark.parametrize(
+        "m",
+        [PLUS_MONOID, TIMES_MONOID, MIN_MONOID, MAX_MONOID, LOR_MONOID, LAND_MONOID, LXOR_MONOID],
+        ids=lambda m: m.name,
+    )
+    def test_matches_the_entry_order_loop(self, m):
+        rng = np.random.default_rng(7)
+        values = rng.uniform(-2.0, 2.0, 200)
+        indices = rng.integers(0, 40, 200)  # leaves some of 45 slots empty
+        out = m.scatter_reduce(values, indices, 45)
+        assert np.array_equal(out, np.asarray(scatter_reduce_loop(m, values, indices, 45), dtype=out.dtype))
+
+    def test_min_of_ints_widens_to_float(self):
+        out = MIN_MONOID.scatter_reduce(np.array([3, 1], dtype=np.int64), np.array([0, 0]), 2)
+        assert out.dtype == np.float64 and list(out) == [1.0, np.inf]
+
+    def test_generic_fallback_for_unregistered_op(self):
+        from repro.algebra.functional import FIRST
+
+        m = Monoid(FIRST, None)
+        out = m.scatter_reduce(np.array([10.0, 20.0, 30.0]), np.array([2, 0, 2]), 3)
+        assert list(out) == [20.0, None, 10.0]
+
+    def test_empty(self):
+        assert PLUS_MONOID.scatter_reduce(np.empty(0), np.empty(0, np.int64), 0).size == 0
+        assert list(MAX_MONOID.scatter_reduce(np.empty(0), np.empty(0, np.int64), 2)) == [-np.inf] * 2
+
+
 class TestProperties:
     @given(st.lists(st.integers(min_value=-100, max_value=100), max_size=30))
     def test_plus_reduce_matches_sum(self, xs):

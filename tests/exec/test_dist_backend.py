@@ -171,18 +171,25 @@ class TestMatrixProducts:
 
 class TestTransposeCache:
     def test_entries_die_with_their_sources(self):
-        """PageRank transposes a fresh row-scaled matrix every solve; a
-        backend kept across solves must not keep those alive, and sharing
-        it must not change ranks or the simulated bill."""
+        """Each solve here transposes a fresh row-scaled matrix of its own;
+        a backend kept across solves must not keep those alive, and
+        sharing it must not change ranks or the simulated bill."""
         a = repro.erdos_renyi(120, 4, seed=40)
+
+        def solve(b):
+            scaled = b.scale_rows(b.matrix(a), np.full(120, 0.5))
+            b.transpose(scaled)
+            assert len(b._transposes) == 1
+            return pagerank(a, backend=b)
+
         shared_led, fresh_led = CostLedger(), CostLedger()
         shared = backend(ledger=shared_led)
-        kept = [pagerank(a, backend=shared) for _ in range(3)]
+        kept = [solve(shared) for _ in range(3)]
         gc.collect()
         assert not shared._transposes
         fresh_machine = backend(ledger=fresh_led).machine
         for rank in kept:
-            assert np.array_equal(rank, pagerank(a, backend=DistBackend(fresh_machine)))
+            assert np.array_equal(rank, solve(DistBackend(fresh_machine)))
         assert shared_led.total == fresh_led.total
         assert shared_led.by_component() == fresh_led.by_component()
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.algebra import MIN_PLUS, PLUS_TIMES
+from repro.algebra.semiring import MAX_SECOND, MIN_FIRST
 from repro.distributed import DistDenseVector, DistSparseMatrix
 from repro.generators import erdos_renyi
 from repro.ops import spmv, spmv_dist, vxm_dense
@@ -68,6 +69,13 @@ class TestVxm:
         x = np.array([0.0, np.inf])
         y = vxm_dense(x, a, semiring=MIN_PLUS)
         assert y.values[1] == 2.0
+
+    def test_operand_order(self):
+        """``x[i] ⊗ A[i,j]``: ``first`` picks from x, ``second`` from A."""
+        a = CSRMatrix.from_dense(np.array([[0.0, 2.0], [3.0, 5.0]]))
+        x = np.array([10.0, 20.0])
+        assert list(vxm_dense(x, a, semiring=MIN_FIRST).values) == [20.0, 10.0]
+        assert list(vxm_dense(x, a, semiring=MAX_SECOND).values) == [3.0, 5.0]
 
 
 class TestSpMVDist:
