@@ -83,6 +83,16 @@ def _log_nnz(nnz: int) -> float:
     return math.log2(nnz) if nnz > 1 else 1.0
 
 
+def _search_seconds(machine: Machine, nnz: int, total: int) -> float:
+    """``nnz`` element copies, each behind two log-time index searches in
+    a ``total``-entry domain, over one locale's threads."""
+    cfg = machine.config
+    per_elem = 2.0 * cfg.search_cost * _log_nnz(total) + cfg.element_cost
+    return parallel_time(
+        cfg, nnz * per_elem * machine.compute_penalty, machine.threads_per_locale
+    )
+
+
 def assign_shm1(dst: SparseVector, src: SparseVector, machine: Machine) -> Breakdown:
     """Single-locale Assign1: domain rebuild + per-index binary-search copy.
 
@@ -130,12 +140,9 @@ def assign1_cost(machine: Machine, nnz_per_locale: np.ndarray) -> Breakdown:
     total = int(nnz_per_locale.sum())
     local_nnz = int(nnz_per_locale[0]) if nnz_per_locale.size else 0
     remote_nnz = total - local_nnz
-    threads = machine.threads_per_locale
-    pen = machine.compute_penalty
-    search = 2.0 * cfg.search_cost * _log_nnz(total)
-    compute = parallel_time(cfg, total * (search + cfg.element_cost) * pen, threads)
+    compute = _search_seconds(machine, total, total)
     comm = fine_grained(
-        cfg, 2 * remote_nnz, threads=threads, local=machine.oversubscribed
+        cfg, 2 * remote_nnz, threads=machine.threads_per_locale, local=machine.oversubscribed
     )
     return Breakdown({"assign": compute + comm})
 
@@ -170,10 +177,7 @@ def assign_agg_cost(
     total = int(nnz_per_locale.sum())
     remote = nnz_per_locale[1:]
     remote_nnz = int(remote.sum())
-    threads = machine.threads_per_locale
-    pen = machine.compute_penalty
-    search = 2.0 * cfg.search_cost * _log_nnz(total)
-    compute = parallel_time(cfg, total * (search + cfg.element_cost) * pen, threads)
+    compute = _search_seconds(machine, total, total)
     oversub = machine.oversubscribed
     comm = 2.0 * sum(
         flush_cost(cfg, int(n), agg=agg, local=oversub) for n in remote if n
@@ -200,21 +204,26 @@ def assign_agg_bill(
     :func:`assign_agg_cost`, plus — under fault injection — every remote
     block's get and put legs, each a sequence of flush batches that retry
     whole (sequence-tagged): their overhead lands in ``Retries``, and the
-    extra goodput of a leg with a straggler endpoint lands in ``assign``
-    (zero, bit for bit, on a leg without one).  Shared by
-    :func:`assign_agg` and the distributed ``apply_updates``, which bills
-    its delta's delivery with it.
+    extra goodput of a leg with a straggler endpoint lands in ``assign``.
+    A straggler owner also stretches its share of the domain searches by
+    its slowdown, into ``assign``.  Both stretches are zero, bit for bit,
+    without a straggler.  Shared by :func:`assign_agg` and the distributed
+    ``apply_updates``, which bills its delta's delivery with it.
     """
     b, _ = assign_agg_cost(machine, nnz_per_locale, agg=agg)
     faults = machine.faults
     if faults is None:
         return b
     cfg = machine.config
+    total = int(np.sum(nnz_per_locale))
     stretch = 0.0
     retry = 0.0
     for k, n in enumerate(nnz_per_locale):
         n = int(n)
-        if k == 0 or n == 0:
+        if n == 0:
+            continue
+        stretch += (faults.slowdown(k) - 1.0) * _search_seconds(machine, n, total)
+        if k == 0:
             continue
         cost = flush_cost(cfg, n, agg=agg, local=machine.oversubscribed)
         batches = num_flushes(n, agg.flush_elems)

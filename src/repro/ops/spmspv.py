@@ -62,7 +62,7 @@ from ..runtime.config import MachineConfig
 from ..runtime.faults import RETRY_STEP
 from ..runtime.locale import LocaleGrid, Machine
 from ..runtime.tasks import coforall_spawn, local_time_ft, makespan, parallel_time, sort_time
-from ..sparse.csr import CSRMatrix, _ranges as _csr_ranges
+from ..sparse.csr import CSRMatrix
 from ..sparse.sort import merge_sort, radix_sort, stable_argsort_bounded
 from ..sparse.spa import SPA
 from ..sparse.vector import SparseVector
@@ -193,33 +193,45 @@ def _local_spmspv(
 ) -> tuple[SparseVector, np.ndarray]:
     """Compute-only local SpMSpV; returns (result, selected row lengths).
 
-    ``mask`` filters products by output index *before* SPA insertion.
+    ``mask`` filters products by output index *before* SPA insertion; the
+    fast path tests it before it multiplies, so a masked-out product is
+    never formed.
     """
-    if fastpath.enabled():
-        # raw row gather: same arrays extract_rows would produce, without
-        # materialising the intermediate CSRMatrix (its rowptr is only
-        # ever diffed back into the per-row lengths we already have)
-        starts = a.rowptr[x.indices]
-        row_nnzs = a.rowptr[x.indices + 1] - starts
-        gather = _csr_ranges(starts, row_nnzs)
-        cols = a.colidx[gather]
-        xvals = np.repeat(x.values, row_nnzs)
-        products = np.asarray(semiring.mult(xvals, a.values[gather]))
-    else:
-        sub = a.extract_rows(x.indices)
-        row_nnzs = np.diff(sub.rowptr)
-        xvals = np.repeat(x.values, row_nnzs)
-        products = np.asarray(semiring.mult(xvals, sub.values))
-        cols = sub.colidx
+    allowed = None
     if mask is not None:
         allowed = np.asarray(mask, dtype=bool)
         if allowed.size != a.ncols:
             raise ValueError(
                 f"mask length {allowed.size} != output capacity {a.ncols}"
             )
-        keep = ~allowed[cols] if complement else allowed[cols]
-        cols = cols[keep]
-        products = products[keep]
+    if fastpath.enabled():
+        # raw row gather: the entries extract_rows would copy, without
+        # materialising the intermediate CSRMatrix.  Each selected entry
+        # carries its segment id (its position in x), so the mask drops
+        # entries on their column ids and only the survivors gather their
+        # x value and A value and multiply.
+        starts = a.rowptr[x.indices]
+        row_nnzs = a.rowptr[x.indices + 1] - starts
+        seg = np.repeat(np.arange(row_nnzs.size, dtype=np.int64), row_nnzs)
+        # entry k of segment s sits at starts[s] + (k - first flat position of s)
+        gather = (starts - (np.cumsum(row_nnzs) - row_nnzs))[seg]
+        gather += np.arange(seg.size, dtype=np.int64)
+        cols = a.colidx[gather]
+        if allowed is not None:
+            # positions, not a Boolean compress: three arrays share them
+            keep = np.flatnonzero(~allowed[cols] if complement else allowed[cols])
+            cols, seg, gather = cols[keep], seg[keep], gather[keep]
+        products = np.asarray(semiring.mult(x.values[seg], a.values[gather]))
+    else:
+        sub = a.extract_rows(x.indices)
+        row_nnzs = np.diff(sub.rowptr)
+        xvals = np.repeat(x.values, row_nnzs)
+        products = np.asarray(semiring.mult(xvals, sub.values))
+        cols = sub.colidx
+        if allowed is not None:
+            keep = ~allowed[cols] if complement else allowed[cols]
+            cols = cols[keep]
+            products = products[keep]
     if fastpath.enabled():
         # Sort-reduce fast path, bit-identical to the SPA reference below:
         # a stable argsort of `cols` applies the same permutation as the

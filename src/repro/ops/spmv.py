@@ -17,10 +17,12 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..distributed.block import GridBlock1D
 from ..distributed.dist_matrix import DistSparseMatrix
 from ..distributed.dist_vector import DistDenseVector
 from ..runtime.clock import Breakdown
 from ..runtime.comm import allgather
+from ..runtime.faults import RETRY_STEP
 from ..runtime.locale import Machine
 from ..runtime.tasks import coforall_spawn, local_time_ft, makespan, parallel_time
 from ..sparse.csr import CSRMatrix
@@ -68,12 +70,15 @@ def vxm_dense(
     additive monoid folds the products into ``y[j]`` in CSR entry order
     (rows ascending within a column) from the identity, with no sort
     (:meth:`~repro.algebra.monoid.Monoid.scatter_reduce`).  Columns with
-    no stored entries produce the semiring's zero.
+    no stored entries produce the semiring's zero.  ``x`` is expanded over
+    the entries by a gather at the block's cached row ids
+    (:meth:`~repro.sparse.csr.CSRMatrix.row_indices`), so an iteration
+    over an unchanged matrix never re-expands its rows.
     """
     xv = x.values if isinstance(x, DenseVector) else np.asarray(x)
     if xv.size != a.nrows:
         raise ValueError(f"x has {xv.size} entries for {a.nrows} rows")
-    products = np.asarray(semiring.mult(np.repeat(xv, np.diff(a.rowptr)), a.values))
+    products = np.asarray(semiring.mult(xv[a.row_indices()], a.values))
     return DenseVector(np.asarray(semiring.add.scatter_reduce(products, a.colidx, a.ncols)))
 
 
@@ -203,32 +208,57 @@ def _spmv_dist_bill(a: DistSparseMatrix, machine: Machine, *, vxm: bool) -> Brea
     push side's fold into ``y`` are priced alike: each touches one
     block-wide dense array at random.  A failed locale raises before
     anything is billed; a straggler stretches its multiply.
+
+    Under a plan that can inject faults, each collective is also a set of
+    legs into the locale, one ring step each: the gather's from every
+    other owner of its ``x`` slice, the reduce's from every other locale
+    its partial combines with (its processor row for ``A ⊗ x``, its
+    processor column for ``x ⊗ A``).  A leg with a straggler endpoint adds
+    its extra goodput to its collective, and transient faults retry the
+    leg into ``Retries``.  A quiet plan bills the fault-free row.
     """
     cfg = machine.config
     grid = a.grid
     faults = machine.faults
     if faults is not None:
         faults.check_grid(grid, "spmv_dist")
+    legs = faults is not None and not faults.plan.quiet
+    if legs:
+        x_dist = GridBlock1D.for_grid(a.nrows if vxm else a.ncols, grid)
     per_locale: list[Breakdown] = []
     for loc in grid:
         rlo, rhi, clo, chi = a.layout.extent(loc.row, loc.col)
-        x_len, y_len = (rhi - rlo, chi - clo) if vxm else (chi - clo, rhi - rlo)
+        (x_lo, x_hi), y_len = ((rlo, rhi), chi - clo) if vxm else ((clo, chi), rhi - rlo)
+        x_bytes, y_bytes = (x_hi - x_lo) * 8 // max(grid.rows, 1), y_len * 8
         multiply = parallel_time(
             cfg,
             a.block(loc.row, loc.col).nnz * cfg.stream_cost * machine.compute_penalty,
             machine.threads_per_locale,
         )
-        per_locale.append(
-            Breakdown(
-                {
-                    "gather": allgather(cfg, grid.cols, x_len * 8 // max(grid.rows, 1)),
-                    "multiply": local_time_ft(
-                        multiply, faults=faults, locale=loc.id, site="spmv_dist"
-                    ),
-                    "reduce": allgather(cfg, grid.cols, y_len * 8),
-                }
-            )
-        )
+        parts = {
+            "gather": allgather(cfg, grid.cols, x_bytes),
+            "multiply": local_time_ft(multiply, faults=faults, locale=loc.id, site="spmv_dist"),
+            "reduce": allgather(cfg, grid.cols, y_bytes),
+        }
+        if legs:
+            owners = range(x_dist.owner(x_lo), x_dist.owner(x_hi - 1) + 1) if x_hi > x_lo else ()
+            team = grid.col_team(loc.col) if vxm else grid.row_team(loc.row)
+            retry = 0.0
+            for what, srcs, nbytes in (
+                ("gather", owners, x_bytes),
+                ("reduce", [t.id for t in team], y_bytes),
+            ):
+                step = allgather(cfg, 2, nbytes)
+                for src in srcs:
+                    if src == loc.id:
+                        continue
+                    goodput, extra = faults.transfer(
+                        f"spmv_dist.{what}[{src}->{loc.id}]", step, src=src, dst=loc.id
+                    )
+                    parts[what] += goodput - step
+                    retry += extra
+            parts[RETRY_STEP] = retry
+        per_locale.append(Breakdown(parts))
     spawn = coforall_spawn(cfg, machine.num_locales, machine.locales_per_node)
     return Breakdown({"gather": spawn}) + Breakdown.parallel(per_locale)
 

@@ -159,15 +159,32 @@ class CSRMatrix:
     # -- conversions ------------------------------------------------------------
 
     def row_indices(self) -> np.ndarray:
-        """Expand rowptr to a per-nonzero row index array (COO rows)."""
-        return np.repeat(np.arange(self.nrows, dtype=np.int64), np.diff(self.rowptr))
+        """Expand rowptr to a per-nonzero row index array (COO rows).
+
+        Expanded once per ``rowptr`` array: the result is kept on the
+        instance with the ``rowptr`` object it was expanded from, and
+        rebuilt when ``self.rowptr`` is a different object.  Every writer
+        of a stored matrix (``apply_updates`` on both backends, assign's
+        block copy) swaps whole arrays, so a new row structure always
+        comes with a new ``rowptr``.  The array is shared and read-only:
+        copy it before writing.  It costs 8 B per stored entry.
+        """
+        memo = getattr(self, "_rows", None)
+        if memo is not None and memo[0] is self.rowptr:
+            rows = memo[1]
+        else:
+            rows = np.repeat(np.arange(self.nrows, dtype=np.int64), np.diff(self.rowptr))
+            self._rows = (self.rowptr, rows)
+        # set on every return: a copied or unpickled memo comes back writable
+        rows.flags.writeable = False
+        return rows
 
     def to_coo(self) -> COOMatrix:
         """Convert to COO triples."""
         return COOMatrix(
             self.nrows,
             self.ncols,
-            self.row_indices(),
+            self.row_indices().copy(),
             self.colidx.copy(),
             self.values.copy(),
         )

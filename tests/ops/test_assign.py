@@ -136,3 +136,53 @@ class TestAssignDistributedMatrix:
         b = DistSparseMatrix.from_global(CSRMatrix.empty(10, 12), grid)
         with pytest.raises(ValueError, match="matching"):
             assign2(a, b, Machine(grid=grid))
+
+
+def leg_stretch(m, counts, k, slow):
+    """What a straggler at ``k`` adds to the delivery legs it ends: each
+    remote block's get and put legs, which run between locale 0 and the
+    block's owner."""
+    from repro.runtime.aggregation import flush_cost
+
+    return (slow - 1.0) * 2.0 * sum(
+        flush_cost(m.config, int(n), local=m.oversubscribed)
+        for j, n in enumerate(counts)
+        if j and n and k in (0, j)
+    )
+
+
+class TestAssignAggStraggler:
+    """A straggler owner stretches its share of the domain searches on top
+    of the delivery legs it ends; without a straggler the faulty bill is
+    the fault-free one bit for bit."""
+
+    def run(self, plan=None):
+        from repro.ops import assign_agg
+        from repro.runtime import FaultInjector
+
+        grid = LocaleGrid.for_count(4)
+        m = Machine(
+            grid=grid, threads_per_locale=2,
+            faults=None if plan is None else FaultInjector(plan),
+        )
+        src = DistSparseVector.from_global(random_sparse_vector(400, nnz=120, seed=5), grid)
+        dst = DistSparseVector.empty(400, grid)
+        return m, src.nnz_per_locale(), assign_agg(dst, src, m)
+
+    @pytest.mark.parametrize("k", [0, 2])
+    def test_straggler_owner_stretches_its_searches(self, k):
+        from repro.runtime.faults import FaultPlan
+
+        m, counts, clean = self.run()
+        assert counts[k] > 0
+        _, _, slow = self.run(FaultPlan(stragglers={k: 2.0}))
+        assert slow["assign"] - clean["assign"] > leg_stretch(m, counts, k, 2.0) + 1e-9
+        assert slow["Retries"] == 0.0
+
+    def test_transients_alone_bill_the_fault_free_assign(self):
+        from repro.runtime.faults import FaultPlan
+
+        _, _, clean = self.run()
+        _, _, row = self.run(FaultPlan(seed=3, transient_rate=0.9))
+        assert float(row["assign"]).hex() == float(clean["assign"]).hex()
+        assert row["Retries"] > 0.0

@@ -29,7 +29,11 @@ Coverage, per the fast-path inventory in ``docs/performance.md``:
   ``mxm_gustavson_reference``;
 * the 2-D partitioner (``DistSparseMatrix.from_global``) and the full
   distributed kernel ``spmspv_dist`` on square *and* non-square grids,
-  ledger breakdowns included.
+  masks and complements and ledger breakdowns included.
+
+The SpMSpV oracles sample non-commutative multiplies (``MIN_FIRST``,
+``MAX_SECOND``) too: the fast path multiplies only the products its mask
+keeps, so a swapped operand order there would show.
 
 Dtype diversity (float64 / int64 / bool), empty frontiers, and duplicate
 indices are explicit strategy dimensions, not accidents of sampling.
@@ -49,7 +53,7 @@ from repro.algebra.monoid import (
     PLUS_MONOID,
     TIMES_MONOID,
 )
-from repro.algebra.semiring import LOR_LAND, MIN_PLUS, PLUS_TIMES
+from repro.algebra.semiring import LOR_LAND, MAX_SECOND, MIN_FIRST, MIN_PLUS, PLUS_TIMES
 from repro.distributed import DistSparseMatrix, DistSparseVector
 from repro.ops.mxm import mxm_gustavson, mxm_gustavson_reference
 from repro.ops.spmspv import spmspv_dist, spmspv_shm
@@ -373,7 +377,22 @@ class TestGroupByOwner:
 # local kernels: SPA SpMSpV, sort-based SpMSpV, Gustavson SpGEMM
 # ---------------------------------------------------------------------------
 
-SEMIRINGS = [PLUS_TIMES, MIN_PLUS, LOR_LAND]
+#: commutative multiplies, plus ``first`` (BFS's parent semiring) and
+#: ``second``, which return one operand: a kernel that swaps ``x ⊗ A``
+#: into ``A ⊗ x`` fails on those two
+SEMIRINGS = [PLUS_TIMES, MIN_PLUS, LOR_LAND, MIN_FIRST, MAX_SECOND]
+
+#: A with rows 1 and 3 empty; x selects rows 0 and 2, whose products land
+#: in columns 1, 3 and 4 only
+SKEW_A = CSRMatrix.from_triples(
+    5, 5, np.array([0, 0, 2, 2]), np.array([1, 4, 1, 3]), np.array([2.0, 3.0, 5.0, 7.0])
+)
+SKEW_X = SparseVector.from_pairs(5, [0, 2], [10.0, 20.0])
+#: (mask, complement) pairs that drop every product of SKEW_X · SKEW_A
+DROP_ALL = [
+    (np.zeros(5, dtype=bool), False),
+    (np.array([False, True, False, True, True]), True),
+]
 
 
 class TestLocalSpmspv:
@@ -422,6 +441,43 @@ class TestLocalSpmspv:
         )
         assert_same_vector(ry, fy)
         assert fy.nnz == 0
+
+    @pytest.mark.parametrize("mask,complement", DROP_ALL)
+    @pytest.mark.parametrize("semiring", SEMIRINGS, ids=lambda s: s.name)
+    def test_mask_drops_every_product(self, mask, complement, semiring):
+        """Every selected row is non-empty and every product is masked
+        out: an empty result in the products' dtype, billed for the rows."""
+        (ry, rb), (fy, fb) = _both_modes(
+            lambda: spmspv_shm(
+                SKEW_A, SKEW_X, shared_machine(2), semiring=semiring,
+                mask=mask, complement=complement,
+            )
+        )
+        assert_same_vector(ry, fy)
+        assert fy.nnz == 0
+        assert rb == fb
+
+    @pytest.mark.parametrize("semiring", SEMIRINGS, ids=lambda s: s.name)
+    def test_selected_rows_empty(self, semiring):
+        x = SparseVector.from_pairs(5, [1, 3], [4.0, 6.0])
+        (ry, rb), (fy, fb) = _both_modes(
+            lambda: spmspv_shm(SKEW_A, x, shared_machine(2), semiring=semiring)
+        )
+        assert_same_vector(ry, fy)
+        assert fy.nnz == 0
+        assert rb == fb
+
+    @pytest.mark.parametrize("semiring", [MIN_FIRST, MAX_SECOND], ids=lambda s: s.name)
+    def test_operand_order(self, semiring):
+        """``first`` keeps x's value and ``second`` A's, with the mask
+        applied: column 4 is masked out, column 1 gets both rows."""
+        mask = np.array([True, True, True, True, False])
+        for on in (False, True):
+            with fastpath.force(on):
+                y, _ = spmspv_shm(SKEW_A, SKEW_X, shared_machine(2), semiring=semiring, mask=mask)
+            assert y.indices.tolist() == [1, 3]
+            want = [10.0, 20.0] if semiring is MIN_FIRST else [5.0, 7.0]
+            assert y.values.tolist() == want
 
 
 class TestMxmGustavson:
@@ -476,27 +532,48 @@ class TestPartitioner:
 
 
 class TestDistSpmspv:
-    @given(
-        pair=matrix_vector_pairs(min_side=4, max_side=24, max_nnz=100, square=True),
-        grid=st.sampled_from(GRIDS),
-        semiring=st.sampled_from(SEMIRINGS),
-    )
-    @settings(PROFILE_FAST)
-    def test_dist_kernel_fast_vs_reference(self, pair, grid, semiring):
-        """The distributed kernel end to end — partition, gather, local SPA,
-        global-merge scatter — must be bit-identical in results *and* in the
-        recorded cost breakdown (profile attribution survives)."""
-        a, x = pair
-
+    @staticmethod
+    def _both(a, x, grid, semiring, mask=None, complement=False):
         def run():
             g = LocaleGrid(*grid)
             m = Machine(grid=g, threads_per_locale=2, ledger=CostLedger())
             ad = DistSparseMatrix.from_global(a, g)
             xd = DistSparseVector.from_global(x, g)
-            y, b = spmspv_dist(ad, xd, m, semiring=semiring)
+            y, b = spmspv_dist(
+                ad, xd, m, semiring=semiring, mask=mask, complement=complement
+            )
             return y.gather(), b, m.ledger.total
 
         (ry, rb, rt), (fy, fb, ft) = _both_modes(run)
         assert_same_vector(ry, fy)
         assert rb == fb
         assert rt == ft
+        return fy
+
+    @given(
+        pair=matrix_vector_pairs(min_side=4, max_side=24, max_nnz=100, square=True),
+        grid=st.sampled_from(GRIDS),
+        semiring=st.sampled_from(SEMIRINGS),
+        data=st.data(),
+    )
+    @settings(PROFILE_FAST)
+    def test_dist_kernel_fast_vs_reference(self, pair, grid, semiring, data):
+        """The distributed kernel end to end — partition, gather, masked
+        local SPA, global-merge scatter — must be bit-identical in results
+        *and* in the recorded cost breakdown (profile attribution
+        survives)."""
+        a, x = pair
+        mask = data.draw(st.none() | dense_masks(a.ncols))
+        complement = data.draw(st.booleans()) if mask is not None else False
+        self._both(a, x, grid, semiring, mask, complement)
+
+    @pytest.mark.parametrize("grid", GRIDS)
+    @pytest.mark.parametrize("mask,complement", DROP_ALL)
+    def test_mask_drops_every_product(self, grid, mask, complement):
+        y = self._both(SKEW_A, SKEW_X, grid, MIN_FIRST, mask, complement)
+        assert y.nnz == 0
+
+    @pytest.mark.parametrize("grid", GRIDS)
+    def test_selected_rows_empty(self, grid):
+        x = SparseVector.from_pairs(5, [1, 3], [4.0, 6.0])
+        assert self._both(SKEW_A, x, grid, MAX_SECOND).nnz == 0

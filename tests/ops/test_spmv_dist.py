@@ -20,7 +20,7 @@ from repro.generators import erdos_renyi
 from repro.ops import spmv_dist, vxm_dense_dist
 from repro.ops.transpose import transpose_dist
 from repro.runtime import CostLedger, FaultInjector, LocaleGrid, Machine
-from repro.runtime.faults import FaultPlan, LocaleFailure
+from repro.runtime.faults import RETRY_STEP, FaultPlan, LocaleFailure
 from repro.runtime.tasks import parallel_time
 from repro.runtime.telemetry import registry as tm
 from repro.sparse import CSRMatrix
@@ -110,6 +110,34 @@ class TestNoTranspose:
         assert not any("transpose" in label for label in labels)
 
 
+class TestRowIdsExpandOnce:
+    """``vxm_dense`` gathers ``x`` at each block's cached row ids: a second
+    multiply over an unchanged block expands no rows."""
+
+    @staticmethod
+    def repeats(monkeypatch):
+        calls = []
+        real = np.repeat
+
+        def spy(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np, "repeat", spy)
+        return calls
+
+    @pytest.mark.parametrize("make", [lambda: ShmBackend(), lambda: DistBackend(machine(4))], ids=["shm", "dist"])
+    def test_second_multiply_expands_nothing(self, monkeypatch, make):
+        a, x = operands(64, 64, seed=4)
+        b = make()
+        h = b.matrix(a)
+        first = b.vxm_dense(x, h, semiring=MIN_PLUS)
+        calls = self.repeats(monkeypatch)
+        again = b.vxm_dense(x, h, semiring=MIN_PLUS)
+        assert again.tobytes() == first.tobytes()
+        assert calls == []
+
+
 def orientations():
     """Both dense SpMVs of the backend on ER(64, 4, seed 1)."""
     a, x = erdos_renyi(64, 4, seed=1), np.random.default_rng(1).random(64)
@@ -123,8 +151,9 @@ def orientations():
 class TestFaultPlan:
     """Dense SpMV obeys the fault plan like every other distributed kernel:
     a failed locale stops it before it bills, a straggler stretches its
-    multiply, and an injector with nothing to inject bills the fault-free
-    row."""
+    multiply and the collective legs it ends, transient faults retry the
+    legs into ``Retries``, and an injector with nothing to inject bills
+    the fault-free row."""
 
     def run(self, op, faults=None):
         b = DistBackend(machine(4, faults))
@@ -140,12 +169,29 @@ class TestFaultPlan:
         assert b.machine.ledger.entries == []
 
     def test_straggler_makes_the_row_dearer(self, op):
+        """The straggler stretches its multiply and every collective leg
+        it ends; it injects no transient fault."""
         y0, clean = self.run(op)
         y, slow = self.run(op, FaultInjector(FaultPlan(stragglers={1: 2.0})))
         assert y.tobytes() == y0.tobytes()
         assert slow.total > clean.total
         assert slow["multiply"] > clean["multiply"]
-        assert (slow["gather"], slow["reduce"]) == (clean["gather"], clean["reduce"])
+        assert slow["gather"] > clean["gather"]
+        assert slow["reduce"] > clean["reduce"]
+        assert slow[RETRY_STEP] == 0.0
+
+    def test_transient_faults_retry_the_collectives(self, op):
+        """Transient faults on the gather and reduce legs are repaired: the
+        result is unchanged, the retries land in ``Retries``, and every
+        other component bills the fault-free row bit for bit."""
+        y0, clean = self.run(op)
+        injector = FaultInjector(FaultPlan(seed=3, transient_rate=0.5))
+        y, row = self.run(op, injector)
+        assert y.tobytes() == y0.tobytes()
+        assert row[RETRY_STEP] > 0.0
+        assert bits(("", {k: v for k, v in row.items() if k != RETRY_STEP})) == bits(("", clean))
+        sites = {e.site.split("[")[0] for e in injector.events}
+        assert sites == {"spmv_dist.gather", "spmv_dist.reduce"}
 
     def test_empty_plan_bills_the_fault_free_row(self, op):
         _, clean = self.run(op)

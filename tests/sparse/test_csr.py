@@ -84,6 +84,55 @@ class TestAccess:
         assert np.array_equal(small_matrix().row_indices(), [0, 0, 2, 2])
 
 
+class TestRowIdMemo:
+    """``row_indices`` expands rowptr once per rowptr array, read-only."""
+
+    @pytest.mark.parametrize("n,deg,seed", [(1, 0, 0), (40, 3, 1), (200, 6, 2)])
+    def test_equals_the_expansion(self, n, deg, seed):
+        from repro.generators import erdos_renyi
+
+        a = erdos_renyi(n, deg, seed=seed)
+        rows = a.row_indices()
+        want = np.repeat(np.arange(a.nrows), np.diff(a.rowptr))
+        assert rows.dtype == np.int64
+        np.testing.assert_array_equal(rows, want)
+
+    def test_second_call_returns_the_same_read_only_array(self):
+        a = small_matrix()
+        rows = a.row_indices()
+        assert a.row_indices() is rows
+        assert not rows.flags.writeable
+        with pytest.raises(ValueError):
+            rows[0] = 1
+
+    def test_a_new_rowptr_array_rebuilds(self):
+        a = small_matrix()
+        old = a.row_indices()
+        b = a.select(VALUEGT, 1.5)
+        a.rowptr, a.colidx, a.values = b.rowptr, b.colidx, b.values
+        assert a.row_indices() is not old
+        np.testing.assert_array_equal(a.row_indices(), [0, 2, 2])
+        np.testing.assert_array_equal(old, [0, 0, 2, 2])
+
+    def test_to_coo_copies(self):
+        a = small_matrix()
+        coo = a.to_coo()
+        assert coo.rows is not a.row_indices()
+        coo.rows[0] = 2  # writable, and the memo is untouched
+        np.testing.assert_array_equal(a.row_indices(), [0, 0, 2, 2])
+
+    def test_pickles_and_copies_stay_read_only(self):
+        import copy
+        import pickle
+
+        a = small_matrix()
+        a.row_indices()
+        for b in (pickle.loads(pickle.dumps(a)), copy.deepcopy(a)):
+            rows = b.row_indices()
+            np.testing.assert_array_equal(rows, [0, 0, 2, 2])
+            assert not rows.flags.writeable
+
+
 class TestTranspose:
     def test_small(self):
         a = small_matrix()

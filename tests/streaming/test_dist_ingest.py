@@ -166,9 +166,9 @@ class TestCoveredFaults:
 
 @pytest.mark.parametrize("p", [4, 6])
 class TestStraggler:
-    """A slow locale stretches its own merge and every delivery leg it
-    ends; without one, a faulty run bills the fault-free merge and
-    delivery bit for bit."""
+    """A slow locale stretches its own merge, its share of the delivery's
+    domain searches and every delivery leg it ends; without one, a faulty
+    run bills the fault-free merge and delivery bit for bit."""
 
     def test_straggler_stretches_merge_and_delivery(self, p):
         a, bt = erdos_renyi(64, 4, seed=1), batch(64, 2)
@@ -180,6 +180,20 @@ class TestStraggler:
         assert delta_counts(bt, b.machine.grid)[1] > 0
         assert sum(delivery(rows[0][1]).values()) > sum(delivery(clean[0][1]).values())
         assert rows[0][1]["Retries"] == 0.0
+
+    def test_straggler_stretches_its_owner_searches(self, p):
+        """The delivery's ``assign`` grows by more than the legs the
+        straggler ends: its share of the domain searches runs slower too."""
+        from tests.ops.test_assign import leg_stretch
+
+        a, bt = erdos_renyi(64, 4, seed=1), batch(64, 2)
+        k = min(1, p - 1)
+        b, _, clean = apply_once(p, a, bt)
+        _, _, rows = apply_once(p, a, bt, FaultInjector(FaultPlan(stragglers={k: 2.0}), POLICY))
+        counts = delta_counts(bt, b.machine.grid)
+        assert counts[k] > 0
+        legs = leg_stretch(b.machine, counts, k, 2.0)
+        assert rows[0][1]["assign"] - clean[0][1]["assign"] > legs + 1e-9
 
     def test_transients_alone_bill_the_fault_free_merge_and_delivery(self, p):
         a, bt = erdos_renyi(64, 4, seed=1), batch(64, 2)

@@ -180,6 +180,33 @@ class TestCacheInvalidation:
         assert np.array_equal(y_warm.values, y_cold.values)
 
 
+    @pytest.mark.parametrize("make", [shm_backend, dist_backend], ids=["shm", "dist"])
+    def test_dense_spmv_after_mutation_equals_fresh_backend(self, make):
+        """Row ids cached before an update are not reused after it: dense
+        SpMV and SSSP on the mutated handle equal a cold backend's on the
+        post-update graph, bit for bit."""
+        from repro.algebra.semiring import MIN_PLUS
+        from repro.algorithms import sssp
+        from repro.streaming import apply_batch_csr
+
+        a = graph()
+        batch = UpdateBatch.from_edges(
+            16, 16, inserts=([0, 7, 15], [7, 3, 0], [2.0, 0.5, 1.5]), deletes=([3], [a.colidx[a.rowptr[3]]])
+        )
+        x = np.arange(16, dtype=np.float64)
+        warm = make()
+        s = GraphStream(warm, a.copy(), registry=MetricsRegistry())
+        warm.vxm_dense(x, s.handle, semiring=MIN_PLUS)  # expand the rows
+        sssp(s.handle, 0, backend=warm)
+        s.apply(batch)
+        cold = make()
+        post = cold.matrix(apply_batch_csr(a, batch))
+        for semiring in (MIN_PLUS, PLUS_TIMES):
+            got = warm.vxm_dense(x, s.handle, semiring=semiring)
+            assert got.tobytes() == cold.vxm_dense(x, post, semiring=semiring).tobytes()
+        assert sssp(s.handle, 0, backend=warm).tobytes() == sssp(post, 0, backend=cold).tobytes()
+
+
 class TestIncrementalView:
     def setup_method(self):
         self.reg = MetricsRegistry()
