@@ -40,11 +40,15 @@ def _sample(
     total_cells = n * n
     nnz = int(rng.binomial(total_cells, p)) if p < 1.0 else total_cells
     # sample distinct linear cell indices; duplicates are rare for d << n,
-    # so oversample then top up the shortfall.
+    # so oversample then top up the shortfall.  Each round dedupes only its
+    # own draws and inserts the cells not chosen yet: the sorted union,
+    # without re-sorting the cells already chosen.
     chosen = unique_sorted(rng.integers(0, total_cells, size=int(nnz * 1.05) + 16))
     while chosen.size < nnz:
-        extra = rng.integers(0, total_cells, size=nnz - chosen.size + 16)
-        chosen = unique_sorted(np.concatenate([chosen, extra]))
+        extra = unique_sorted(rng.integers(0, total_cells, size=nnz - chosen.size + 16))
+        pos = np.searchsorted(chosen, extra)
+        fresh = chosen[np.minimum(pos, chosen.size - 1)] != extra
+        chosen = np.insert(chosen, pos[fresh], extra[fresh])
     perm = rng.permutation(chosen.size)[:nnz]
     if values == "uniform":
         vals = rng.random(nnz)

@@ -35,6 +35,12 @@ def flops(a: CSRMatrix, b: CSRMatrix) -> int:
     expanded product) — a pure function of the stored patterns."""
     if a.ncols != b.nrows:
         raise ValueError(f"inner dimensions disagree: {a.ncols} vs {b.nrows}")
+    return _expansion_size(a, b)
+
+
+def _expansion_size(a: CSRMatrix, b: CSRMatrix) -> int:
+    """:func:`flops` without the shape check: the summed lengths of the B
+    rows that A's nonzeros select."""
     return int(np.diff(b.rowptr)[a.colidx].sum())
 
 
@@ -59,11 +65,22 @@ def mxm(
     survivor's products in expansion order, so the result is
     bit-identical to the reference: compress everything, then
     :func:`~repro.ops.mask.mask_matrix`.
+
+    With a plain (not complemented) mask the fast path compares two
+    counts: the candidates ``D`` that one dot product per mask entry
+    tests (the nnz of A's row ``i``, summed over the mask entries
+    ``(i, j)``) and the ``F`` products the expansion forms
+    (:func:`flops`).  When ``D < F`` it runs :func:`_mxm_dot` instead,
+    which is bit-identical to the pruned ESC.
     """
     if a.ncols != b.nrows:
         raise ValueError(f"inner dimensions disagree: {a.ncols} vs {b.nrows}")
     if mask is not None and mask.shape != (a.nrows, b.ncols):
         raise ValueError(f"shape mismatch: {(a.nrows, b.ncols)} vs {mask.shape}")
+    if mask is not None and not complement and fastpath.enabled():
+        d = int((np.diff(mask.rowptr) * np.diff(a.rowptr)).sum())
+        if d < _expansion_size(a, b):
+            return _mxm_dot(a, b, semiring, mask)
     expanded = b.extract_rows(a.colidx)  # one B-row per A-nonzero
     reps = np.diff(expanded.rowptr)
     out_rows = np.repeat(a.row_indices(), reps)
@@ -83,6 +100,45 @@ def mxm(
     if mask is not None and not prune:
         c = mask_matrix(c, mask, complement=complement)
     return c
+
+
+def _mxm_dot(
+    a: CSRMatrix, b: CSRMatrix, semiring: Semiring, mask: CSRMatrix
+) -> CSRMatrix:
+    """``C⟨mask⟩ = A ⊗ B`` by one dot product per mask entry.
+
+    Mask entry ``(i, j)`` walks A's row ``i`` in column order and looks
+    each ``B[k, j]`` up by a ``searchsorted`` of the row-major key
+    ``k·ncols + j`` into B's keys; the hits multiply as ``A ⊗ B`` and
+    each entry's products fold with the additive monoid.  They reach the
+    fold in ascending ``k``, the order the pruned ESC's stable compress
+    gives them, and fold (or pass through) exactly as ``coalesce`` folds
+    them, so structure, values and dtype equal the ESC result.  The
+    output's structure is a subset of the mask's: no B rows are expanded
+    and nothing is sorted.
+    """
+    mrows = mask.row_indices()
+    lens = np.diff(a.rowptr)[mrows]  # candidates of each mask entry
+    entry = np.repeat(np.arange(mask.nnz), lens)
+    # each candidate's position in A: its entry's row, walked in order
+    ends = np.cumsum(lens)
+    apos = np.arange(entry.size) + (a.rowptr[mrows] - (ends - lens))[entry]
+    keys = a.colidx[apos] * b.ncols + mask.colidx[entry]
+    bkeys = b.row_indices() * b.ncols + b.colidx
+    bpos = np.searchsorted(bkeys, keys)
+    np.minimum(bpos, bkeys.size - 1, out=bpos)  # B is not empty: F > D >= 0
+    hit = bkeys[bpos] == keys
+    entry = entry[hit]
+    products = np.asarray(semiring.mult(a.values[apos[hit]], b.values[bpos[hit]]))
+    starts = np.flatnonzero(np.diff(entry, prepend=-1))
+    if starts.size == products.size:  # one product per output: no fold
+        vals = products
+    else:
+        folded = semiring.add.reduceat_dense(products, starts)
+        vals = np.asarray(folded, dtype=products.dtype)  # as coalesce casts
+    kept = entry[starts]
+    rowptr = np.searchsorted(kept, mask.rowptr)
+    return CSRMatrix(a.nrows, b.ncols, rowptr, mask.colidx[kept], vals)
 
 
 def _in_mask(rows: np.ndarray, cols: np.ndarray, mask: CSRMatrix) -> np.ndarray:

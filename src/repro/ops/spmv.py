@@ -204,10 +204,15 @@ def _spmv_dist_bill(a: DistSparseMatrix, machine: Machine, *, vxm: bool) -> Brea
     Each locale gathers the slice of ``x`` its block multiplies (the
     block's column range for ``A ⊗ x``, its row range for ``x ⊗ A``),
     touches every stored entry once at ``stream_cost``, and reduces the
-    slice of ``y`` it produces.  The pull side's gather of ``x`` and the
-    push side's fold into ``y`` are priced alike: each touches one
-    block-wide dense array at random.  A failed locale raises before
-    anything is billed; a straggler stretches its multiply.
+    slice of ``y`` it produces.  Each collective is a ring over its own
+    team: the gather over the slice's owners (``grid.rows`` of them for
+    ``A ⊗ x``, ``grid.cols`` for ``x ⊗ A``), each sending its share of
+    the slice; the reduce over the locales whose partials combine (the
+    processor row for ``A ⊗ x``, the column for ``x ⊗ A``).  The pull
+    side's gather of ``x`` and the push side's fold into ``y`` are
+    priced alike: each touches one block-wide dense array at random.  A
+    failed locale raises before anything is billed; a straggler
+    stretches its multiply.
 
     Under a plan that can inject faults, each collective is also a set of
     legs into the locale, one ring step each: the gather's from every
@@ -225,20 +230,21 @@ def _spmv_dist_bill(a: DistSparseMatrix, machine: Machine, *, vxm: bool) -> Brea
     legs = faults is not None and not faults.plan.quiet
     if legs:
         x_dist = GridBlock1D.for_grid(a.nrows if vxm else a.ncols, grid)
+    gather_team, reduce_team = (grid.cols, grid.rows) if vxm else (grid.rows, grid.cols)
     per_locale: list[Breakdown] = []
     for loc in grid:
         rlo, rhi, clo, chi = a.layout.extent(loc.row, loc.col)
         (x_lo, x_hi), y_len = ((rlo, rhi), chi - clo) if vxm else ((clo, chi), rhi - rlo)
-        x_bytes, y_bytes = (x_hi - x_lo) * 8 // max(grid.rows, 1), y_len * 8
+        x_bytes, y_bytes = (x_hi - x_lo) * 8 // gather_team, y_len * 8
         multiply = parallel_time(
             cfg,
             a.block(loc.row, loc.col).nnz * cfg.stream_cost * machine.compute_penalty,
             machine.threads_per_locale,
         )
         parts = {
-            "gather": allgather(cfg, grid.cols, x_bytes),
+            "gather": allgather(cfg, gather_team, x_bytes),
             "multiply": local_time_ft(multiply, faults=faults, locale=loc.id, site="spmv_dist"),
-            "reduce": allgather(cfg, grid.cols, y_bytes),
+            "reduce": allgather(cfg, reduce_team, y_bytes),
         }
         if legs:
             owners = range(x_dist.owner(x_lo), x_dist.owner(x_hi - 1) + 1) if x_hi > x_lo else ()

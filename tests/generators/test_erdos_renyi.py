@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from repro.generators import erdos_renyi, erdos_renyi_triples
+from repro.generators.erdos_renyi import _sample
 from repro.sparse.csr import CSRMatrix
+from repro.sparse.sort import unique_sorted
 
 
 class TestErdosRenyi:
@@ -89,3 +91,48 @@ class TestSortFreeBuild:
             assert g.dtype == w.dtype, name
             assert g.tobytes() == w.tobytes(), name
         got.check()
+
+
+def _sample_union_and_sort(n, d, seed, values):
+    """The top-up loop as it was first written: every round re-sorts the
+    union of everything drawn so far.  Kept as the reference for
+    ``_sample``, whose rounds insert only their new cells."""
+    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    p = d / n
+    total_cells = n * n
+    nnz = int(rng.binomial(total_cells, p)) if p < 1.0 else total_cells
+    chosen = unique_sorted(rng.integers(0, total_cells, size=int(nnz * 1.05) + 16))
+    while chosen.size < nnz:
+        extra = rng.integers(0, total_cells, size=nnz - chosen.size + 16)
+        chosen = unique_sorted(np.concatenate([chosen, extra]))
+    perm = rng.permutation(chosen.size)[:nnz]
+    vals = rng.random(nnz) if values == "uniform" else np.ones(nnz)
+    return chosen, perm, vals
+
+
+class TestTopUp:
+    """Near-complete graphs need many top-up rounds; inserting each
+    round's new cells draws and returns exactly what re-sorting the whole
+    union every round did."""
+
+    @pytest.mark.parametrize(
+        "n, d",
+        [
+            (300, 299.5),
+            (1000, 900),
+            pytest.param(2000, 1990, marks=pytest.mark.slow),
+            (50, 49.9),
+            (7, 7),
+            (300, 150),
+        ],
+    )
+    @pytest.mark.parametrize("generator", [False, True], ids=["int", "rng"])
+    def test_matches_the_union_and_sort_loop(self, n, d, generator):
+        def seed():
+            return np.random.default_rng(21) if generator else 21
+
+        got = _sample(n, d, seed(), "uniform")
+        want = _sample_union_and_sort(n, d, seed(), "uniform")
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype
+            assert g.tobytes() == w.tobytes()

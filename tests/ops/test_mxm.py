@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.algebra import MIN_PLUS, PLUS_PAIR, PLUS_TIMES
+from repro.algebra import MIN_FIRST, MIN_PLUS, PLUS_PAIR, PLUS_TIMES
+from repro.algebra.semiring import MAX_SECOND
 from repro.generators import erdos_renyi
 from repro.ops import flops, mask_matrix, mxm, mxm_gustavson
 from repro.runtime import fastpath
@@ -126,6 +127,11 @@ ESC_A = _order_sensitive(1, 12, 24, empty_rows=(3, 7))
 ESC_B = _order_sensitive(2, 24, 10, empty_rows=(5,))
 
 
+def _int64(m):
+    """The same structure with int64 values."""
+    return CSRMatrix(m.nrows, m.ncols, m.rowptr, m.colidx, (m.values * 1000).astype(np.int64))
+
+
 def _esc_mask(kind):
     rng = np.random.default_rng(3)
     if kind == "random":
@@ -154,7 +160,10 @@ class TestMaskedESCDifferential:
         assert (forward != backward).any()
 
     @pytest.mark.parametrize("fast", [False, True], ids=["reference", "fast"])
-    @pytest.mark.parametrize("semiring", [PLUS_TIMES, MIN_PLUS, PLUS_PAIR], ids=lambda s: s.name)
+    # FIRST and SECOND catch a swapped A ⊗ B operand order
+    @pytest.mark.parametrize(
+        "semiring", [PLUS_TIMES, MIN_PLUS, PLUS_PAIR, MIN_FIRST, MAX_SECOND], ids=lambda s: s.name
+    )
     @pytest.mark.parametrize("kind", ["random", "empty", "disjoint", "full"])
     @pytest.mark.parametrize("complement", [False, True])
     # formats of (A, B, mask): CSR is the one local format
@@ -175,6 +184,20 @@ class TestMaskedESCDifferential:
         assert np.array_equal(other.values, got.values)
         assert np.array_equal(other.colidx, got.colidx)
 
+    @pytest.mark.parametrize("fast", [False, True], ids=["reference", "fast"])
+    @pytest.mark.parametrize("semiring", [MIN_PLUS, MIN_FIRST], ids=lambda s: s.name)
+    @pytest.mark.parametrize("kind", ["random", "empty", "disjoint", "full"])
+    def test_int64_values_stay_int64(self, fast, semiring, kind):
+        """The min monoid folds int64 products through float64; the result
+        is cast back to the product dtype on every path."""
+        a, b, m = _int64(ESC_A), _int64(ESC_B), _esc_mask(kind)
+        with fastpath.force(fast):
+            got = mxm(a, b, semiring=semiring, mask=m)
+            want = mask_matrix(mxm(a, b, semiring=semiring), m)
+        assert got.values.dtype == want.values.dtype == np.int64
+        for label in ("rowptr", "colidx", "values"):
+            assert np.array_equal(getattr(got, label), getattr(want, label)), label
+
     def test_keeps_nothing(self):
         with fastpath.force(True):
             c = mxm(ESC_A, ESC_B, mask=_esc_mask("disjoint"))
@@ -186,6 +209,58 @@ class TestMaskedESCDifferential:
     def test_wrong_shape_mask_raises(self, fast):
         with fastpath.force(fast), pytest.raises(ValueError, match="shape"):
             mxm(ESC_A, ESC_B, mask=CSRMatrix.empty(12, 11))
+
+
+class TestDotPath:
+    """A plain mask whose candidates ``D = Σ_(i,j)∈M nnz(A[i,:])`` number
+    fewer than the expansion's ``F = flops(A, B)`` products takes one dot
+    product per mask entry: it expands no B rows."""
+
+    @staticmethod
+    def candidates(a, m):
+        return int((np.diff(m.rowptr) * np.diff(a.rowptr)).sum())
+
+    def test_fixture_counts(self):
+        assert flops(ESC_A, ESC_B) == 2300
+        d = {kind: self.candidates(ESC_A, _esc_mask(kind)) for kind in ("random", "empty", "disjoint", "full")}
+        assert d == {"random": 912, "empty": 0, "disjoint": 0, "full": 2400}
+
+    @pytest.mark.parametrize(
+        "kind, complement, expands",
+        [
+            ("random", False, False),
+            ("empty", False, False),
+            ("disjoint", False, False),
+            ("full", False, True),  # D = 2400 >= F = 2300
+            ("random", True, True),  # a complement mask always expands
+        ],
+    )
+    def test_which_path_each_mask_takes(self, monkeypatch, kind, complement, expands):
+        calls = []
+        real = CSRMatrix.extract_rows
+
+        def spy(self, rows):
+            calls.append(rows.size)
+            return real(self, rows)
+
+        monkeypatch.setattr(CSRMatrix, "extract_rows", spy)
+        with fastpath.force(True):
+            mxm(ESC_A, ESC_B, mask=_esc_mask(kind), complement=complement)
+        assert bool(calls) == expands
+
+    def test_dot_path_never_extracts_rows(self, monkeypatch):
+        a, m = erdos_renyi(300, 6, seed=4), erdos_renyi(300, 2, seed=5)
+        assert self.candidates(a, m) < flops(a, a)
+        want = mask_matrix(mxm(a, a, semiring=MIN_FIRST), m)
+
+        def boom(self, rows):
+            raise AssertionError("the dot path expanded B's rows")
+
+        monkeypatch.setattr(CSRMatrix, "extract_rows", boom)
+        with fastpath.force(True):
+            got = mxm(a, a, semiring=MIN_FIRST, mask=m)
+        for label in ("rowptr", "colidx", "values"):
+            assert np.array_equal(getattr(got, label), getattr(want, label)), label
 
 
 class TestFlops:

@@ -21,7 +21,7 @@ from repro.ops import spmv_dist, vxm_dense_dist
 from repro.ops.transpose import transpose_dist
 from repro.runtime import CostLedger, FaultInjector, LocaleGrid, Machine
 from repro.runtime.faults import RETRY_STEP, FaultPlan, LocaleFailure
-from repro.runtime.tasks import parallel_time
+from repro.runtime.tasks import coforall_spawn, parallel_time
 from repro.runtime.telemetry import registry as tm
 from repro.sparse import CSRMatrix
 
@@ -91,6 +91,47 @@ def test_bill_equals_the_row_through_the_transpose(p, shape):
     vxm_dense_dist(DistDenseVector.from_global(x, grid), DistSparseMatrix.from_global(a, grid), direct)
     assert [label for label, _ in via_t.ledger.entries] == ["transpose_dist", "spmv_dist"]
     assert [bits(r) for r in direct.ledger.entries] == [bits(via_t.ledger.entries[1])]
+
+
+@pytest.mark.parametrize("shape", [(4, 1), (1, 4)], ids=["4x1", "1x4"])
+class TestNonSquareTeams:
+    """On a non-square grid each collective is billed over its own team:
+    the gather over the owners of the ``x`` slice (``grid.rows`` of them
+    for ``A ⊗ x``, ``grid.cols`` for ``x ⊗ A``), the reduce over the
+    locales whose partials combine (the processor row for ``A ⊗ x``, the
+    processor column for ``x ⊗ A``).  A team of one bills nothing beyond
+    the spawn."""
+
+    @staticmethod
+    def row(shape, orientation, a=None):
+        a = erdos_renyi(400, 8, seed=1) if a is None else a
+        x = np.random.default_rng(1).random(400)
+        grid = LocaleGrid(*shape)
+        m = Machine(grid=grid, threads_per_locale=4, ledger=CostLedger())
+        da, dx = DistSparseMatrix.from_global(a, grid), DistDenseVector.from_global(x, grid)
+        if orientation == "mxv":
+            spmv_dist(da, dx, m)
+        else:
+            vxm_dense_dist(dx, da, m)
+        [(label, row)] = m.ledger.entries
+        assert label == "spmv_dist"
+        return row, coforall_spawn(m.config, m.num_locales, m.locales_per_node)
+
+    @pytest.mark.parametrize("orientation", ["mxv", "vxm"])
+    def test_each_collective_spans_its_team(self, shape, orientation):
+        rows, cols = shape
+        gather_team, reduce_team = (rows, cols) if orientation == "mxv" else (cols, rows)
+        row, spawn = self.row(shape, orientation)
+        assert (row["gather"] > spawn) == (gather_team > 1)
+        assert row["gather"] >= spawn
+        assert (row["reduce"] > 0.0) == (reduce_team > 1)
+
+    def test_x_times_a_bills_the_transposed_row(self, shape):
+        """``x ⊗ A`` on an r×c grid bills what ``Aᵀ ⊗ x`` bills on c×r."""
+        a = erdos_renyi(400, 8, seed=1)
+        direct, _ = self.row(shape, "vxm", a)
+        via_t, _ = self.row(shape[::-1], "mxv", a.transposed())
+        assert bits(("", direct)) == bits(("", via_t))
 
 
 class TestNoTranspose:
