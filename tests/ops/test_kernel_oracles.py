@@ -11,8 +11,8 @@ never ``allclose``).
 Coverage, per the fast-path inventory in ``docs/performance.md``:
 
 * ``stable_argsort_bounded`` (the narrow-key radix argsort) vs the plain
-  stable argsort — spanning the uint8/uint16/uint32 width cuts and the
-  small-array bypass;
+  stable argsort — spanning the uint8/uint16 width cuts, the wider bounds
+  that sort as they are and the small-array bypass;
 * ``merge_sort`` / ``radix_sort`` vs their spelled-out references;
 * ``row_major_order`` (the packed-key sort) and ``coalesce`` vs
   ``np.lexsort`` — duplicates, negative coordinates, int64 wrap-around,
@@ -121,7 +121,7 @@ class TestStableArgsortBounded:
     @settings(PROFILE)
     def test_matches_plain_stable_argsort(self, keys, data):
         """The narrowed-dtype argsort must return the *identical* stable
-        permutation for every bound classification (uint8/16/32/passthrough),
+        permutation for every bound classification (uint8/uint16/plain),
         on both sides of the size-64 bypass."""
         keys = np.array(keys, dtype=np.int64)
         hi = int(keys.max()) + 1 if keys.size else 1

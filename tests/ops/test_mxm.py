@@ -1,5 +1,7 @@
 """Unit tests for SpGEMM (ESC and Gustavson) and masked products."""
 
+import importlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,6 +13,8 @@ from repro.ops import flops, mask_matrix, mxm, mxm_gustavson
 from repro.runtime import fastpath
 from repro.sparse import CSRMatrix
 
+#: the module, not the ``repro.ops.mxm`` function that shadows it
+mxm_module = importlib.import_module("repro.ops.mxm")
 
 def rand(seed, n=10, m=None, density=0.3):
     rng = np.random.default_rng(seed)
@@ -261,6 +265,143 @@ class TestDotPath:
             got = mxm(a, a, semiring=MIN_FIRST, mask=m)
         for label in ("rowptr", "colidx", "values"):
             assert np.array_equal(getattr(got, label), getattr(want, label)), label
+
+
+def _sparse_case():
+    """A = B = ER(2000, 4) and a 20-entry mask: 16 entries of ``A·A``, ten
+    of them with two or more products, and 4 cells it does not store.
+    B's 4 M cells are far more than 64 per candidate."""
+    a = erdos_renyi(2000, 4, seed=7)
+    paths = mxm(a, a, semiring=PLUS_PAIR)
+    rows, cols = paths.row_indices(), paths.colidx
+    rng = np.random.default_rng(8)
+    many = np.flatnonzero(paths.values >= 2)
+    one = np.flatnonzero(paths.values == 1)
+    pick = np.concatenate([rng.choice(many, 10, replace=False), rng.choice(one, 6, replace=False)])
+    mr = np.concatenate([rows[pick], rng.integers(0, 2000, 4)])
+    mc = np.concatenate([cols[pick], rng.integers(0, 2000, 4)])
+    mask = CSRMatrix.from_triples(2000, 2000, mr, mc, np.ones(mr.size))
+    return a, a, mask
+
+
+def _boundary_case(row):
+    """8x32 · 32x64, every value an inexact float: B has 2048 cells.  A's
+    row 0 stores 31 entries and its other rows 32, so a one-entry mask in
+    row ``row`` tests ``D = 31`` (2048 > 64·31) or ``D = 32`` (2048 = 64·32)
+    candidates."""
+    rng = np.random.default_rng(6)
+    ad = rng.random((8, 32)) + 0.25
+    ad[0, 5] = 0.0
+    bd = rng.random((32, 64)) + 0.25
+    mask = CSRMatrix.from_triples(8, 64, [row], [3], [1.0])
+    return CSRMatrix.from_dense(ad), CSRMatrix.from_dense(bd), mask
+
+
+LOOKUP_CASES = {
+    "fixture": lambda: (ESC_A, ESC_B, _esc_mask("random")),  # 240 cells, D = 912
+    "sparse": _sparse_case,
+    "boundary": lambda: _boundary_case(1),
+    "past_boundary": lambda: _boundary_case(0),
+}
+
+
+class TestKeyLookup:
+    """The dot path and the ESC mask test find row-major keys through
+    ``_find_keys``: a position table when the matrix has at most 64 cells
+    per key, a binary search otherwise.  Either way the result is the one
+    the pruned ESC computes."""
+
+    @pytest.mark.parametrize("case", ["sparse", "boundary", "past_boundary"])
+    @pytest.mark.parametrize(
+        "semiring", [PLUS_TIMES, MIN_PLUS, PLUS_PAIR, MIN_FIRST, MAX_SECOND], ids=lambda s: s.name
+    )
+    @pytest.mark.parametrize("complement", [False, True])
+    def test_equals_mask_after_compress(self, case, semiring, complement):
+        a, b, m = LOOKUP_CASES[case]()
+        with fastpath.force(True):
+            got = mxm(a, b, semiring=semiring, mask=m, complement=complement)
+        want = mask_matrix(mxm(a, b, semiring=semiring), m, complement=complement)
+        for label in ("rowptr", "colidx", "values"):
+            g, w = getattr(got, label), getattr(want, label)
+            assert g.dtype == w.dtype, label
+            assert np.array_equal(g, w), label
+        assert complement or got.nnz > 0
+
+    @pytest.mark.parametrize("case", ["sparse", "boundary", "past_boundary"])
+    @pytest.mark.parametrize("semiring", [MIN_PLUS, MIN_FIRST], ids=lambda s: s.name)
+    def test_int64_values_stay_int64(self, case, semiring):
+        a, b, m = LOOKUP_CASES[case]()
+        a, b = _int64(a), _int64(b)
+        with fastpath.force(True):
+            got = mxm(a, b, semiring=semiring, mask=m)
+        want = mask_matrix(mxm(a, b, semiring=semiring), m)
+        assert got.values.dtype == want.values.dtype == np.int64
+        for label in ("rowptr", "colidx", "values"):
+            assert np.array_equal(getattr(got, label), getattr(want, label)), label
+
+    def test_case_counts(self):
+        """D against B's cells for each dot-path case."""
+        for case, d in {"fixture": 912, "boundary": 32, "past_boundary": 31}.items():
+            a, b, m = LOOKUP_CASES[case]()
+            assert TestDotPath.candidates(a, m) == d < flops(a, b), case
+        a, b, m = _sparse_case()
+        assert m.nnz == 20
+        assert b.nrows * b.ncols > 64 * TestDotPath.candidates(a, m)
+
+    @pytest.mark.parametrize(
+        "case, complement, lookup",
+        [
+            ("fixture", False, "table"),  # dot path: 240 cells <= 64 * 912
+            ("sparse", False, "search"),  # dot path: 4 M cells > 64 * D
+            ("boundary", False, "table"),  # dot path: 2048 cells == 64 * 32
+            ("past_boundary", False, "search"),  # dot path: 2048 > 64 * 31
+            ("fixture", True, "table"),  # ESC mask test: 120 cells, 2300 products
+            ("sparse", True, "search"),  # ESC mask test: 4 M cells > 64 * F
+        ],
+    )
+    def test_which_lookup_each_case_takes(self, monkeypatch, case, complement, lookup):
+        taken = []
+        for name in ("_find_by_table", "_find_by_search"):
+            real = getattr(mxm_module, name)
+
+            def spy(*args, _real=real, _name=name):
+                taken.append(_name)
+                return _real(*args)
+
+            monkeypatch.setattr(mxm_module, name, spy)
+        a, b, m = LOOKUP_CASES[case]()
+        with fastpath.force(True):
+            mxm(a, b, mask=m, complement=complement)
+        assert taken == [f"_find_by_{lookup}"]
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_both_lookups_return_the_same_positions(self, seed):
+        rng = np.random.default_rng(seed)
+        cells = int(rng.integers(1, 5000))
+        mkeys = np.sort(rng.choice(cells, int(rng.integers(1, cells + 1)), replace=False))
+        misses = np.setdiff1d(np.arange(cells), mkeys)
+        queries = {
+            "mixed": rng.integers(0, cells, 300),
+            "all_miss": rng.choice(misses, min(misses.size, 50)),
+            "all_hit": rng.permutation(mkeys),
+            "last_cell": np.array([cells - 1]),
+            "none": np.empty(0, dtype=np.int64),
+        }
+        where = {int(k): p for p, k in enumerate(mkeys)}
+        for label, keys in queries.items():
+            want = np.array([where.get(int(k), -1) for k in keys], dtype=np.int64)
+            by_table = mxm_module._find_by_table(mkeys, cells, keys)
+            by_search = mxm_module._find_by_search(mkeys, keys)
+            assert np.array_equal(by_table, want), label
+            assert np.array_equal(by_search, want), label
+
+    def test_matrix_keys(self):
+        """``_find_keys`` reads a matrix's keys row-major, empty ones too."""
+        m = CSRMatrix.from_dense(np.array([[0.0, 2.0, 3.0], [0.0, 0.0, 0.0], [4.0, 0.0, 5.0]]))
+        keys = np.arange(9)
+        assert mxm_module._find_keys(m, keys).tolist() == [-1, 0, 1, -1, -1, -1, 2, -1, 3]
+        assert mxm_module._find_keys(m, keys[:0]).size == 0
+        assert mxm_module._find_keys(CSRMatrix.empty(3, 3), keys).tolist() == [-1] * 9
 
 
 class TestFlops:
